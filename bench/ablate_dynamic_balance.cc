@@ -17,6 +17,7 @@
 
 #include "bench_common.hh"
 #include "core/mapped.hh"
+#include "core/sequence.hh"
 
 using namespace texdist;
 
@@ -34,8 +35,10 @@ runOracle(FrameLab &lab, const Scene &scene,
 
     FrameLab::SpeedupResult out;
     out.baselineTime = lab.baseline(cfg);
-    ParallelMachine machine(scene, cfg, std::move(oracle));
-    out.frame = machine.run();
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame,
+                            std::move(oracle));
+    out.frame = machine.runFrame(scene);
     out.speedup = out.frame.frameTime
                       ? double(out.baselineTime) /
                             double(out.frame.frameTime)

@@ -12,14 +12,14 @@
  *
  * The experiment: render frame N through per-node L1+L2 hierarchies,
  * then render frame N+1 = frame N panned by d pixels with the caches
- * left warm, and report frame N+1's external texel-to-fragment
- * ratio per pan distance and tile size.
+ * left warm (two functional frames of one machine), and report frame
+ * N+1's external texel-to-fragment ratio per pan distance and tile
+ * size.
  */
 
 #include <iostream>
 
 #include "bench_common.hh"
-#include "cache/two_level.hh"
 #include "core/interframe.hh"
 
 using namespace texdist;
@@ -33,11 +33,6 @@ main(int argc, char **argv)
               << opts.scale << ")\n";
 
     Scene frame1 = loadScene("quake", opts.scale);
-    auto make_cache = [] {
-        return std::make_unique<TwoLevelCache>(
-            CacheGeometry{16 * 1024, 4, 64},
-            CacheGeometry{2 * 1024 * 1024, 8, 64});
-    };
 
     const std::vector<int> pans = {0, 4, 8, 16, 32, 64, 128};
 
@@ -55,11 +50,12 @@ main(int argc, char **argv)
             for (int pan : pans) {
                 Scene frame2 =
                     translateScene(frame1, float(pan), 0.0f);
-                auto dist = Distribution::make(
-                    DistKind::Block, frame1.screenWidth,
-                    frame1.screenHeight, procs, width);
-                InterFrameResult r = interFrameTraffic(
-                    frame1, frame2, *dist, make_cache);
+                MachineConfig cfg; // 16KB L1 + 2MB L2, as Cox
+                cfg.numProcs = procs;
+                cfg.tileParam = width;
+                cfg.hasL2 = true;
+                InterFrameResult r =
+                    measureInterFrame(frame1, frame2, cfg);
                 table.cell(uint64_t(pan));
                 table.cell(r.frame2Ratio, 4);
                 table.cell(r.reuseFactor(), 3);

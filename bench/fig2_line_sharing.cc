@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "bench_common.hh"
+#include "sim/logging.hh"
 #include "raster/raster.hh"
 #include "texture/sampler.hh"
 

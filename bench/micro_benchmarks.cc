@@ -21,7 +21,6 @@
 #include "geom/rng.hh"
 #include "raster/raster.hh"
 #include "scene/builder.hh"
-#include "sim/eventq.hh"
 #include "sim/simd.hh"
 #include "texture/sampler.hh"
 
@@ -242,28 +241,6 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_CacheAccess)
-    ->Repetitions(kRepetitions)
-    ->ReportAggregatesOnly(true);
-
-void
-BM_EventQueueSchedule(benchmark::State &state)
-{
-    EventQueue eq;
-    LambdaEvent tick([] {});
-    Tick t = 1;
-
-    for (int i = 0; i < 1024; ++i) { // warmup
-        eq.schedule(&tick, t++);
-        eq.step();
-    }
-
-    for (auto _ : state) {
-        eq.schedule(&tick, t++);
-        eq.step();
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()));
-}
-BENCHMARK(BM_EventQueueSchedule)
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

@@ -26,6 +26,7 @@
 #include "core/experiments.hh"
 #include "scene/benchmarks.hh"
 #include "scene/stats.hh"
+#include "sim/logging.hh"
 
 using namespace texdist;
 

@@ -33,14 +33,12 @@ namespace texdist
 std::vector<uint64_t> pixelWorkPerProc(const Scene &scene,
                                        const Distribution &dist);
 
-/** (max - mean) / mean in percent. */
-double imbalancePercent(const std::vector<uint64_t> &work);
-
 /**
  * Runs machine configurations against one scene and caches the
  * single-processor baseline times used as speedup denominators
  * (T(1) uses the same node parameters — cache, bus, setup,
- * prefetch — with an ideal triangle buffer).
+ * prefetch — with an ideal triangle buffer). Every run is a cold
+ * single frame (runFrame) on a machine of its own.
  */
 class FrameLab
 {
@@ -66,10 +64,11 @@ class FrameLab
 
     /**
      * Simulate a batch of configurations on @p pool, one config per
-     * worker. Baselines are warmed serially first (the cache is
-     * shared); the runs themselves are independent simulations, so
-     * results are identical to calling runWithSpeedup() in a loop —
-     * only the wall-clock time changes.
+     * worker, each on a private single-frame SequenceMachine.
+     * Baselines are warmed serially first (the cache is shared); the
+     * runs themselves are independent simulations, so results are
+     * identical to calling runWithSpeedup() in a loop — only the
+     * wall-clock time changes.
      */
     std::vector<SpeedupResult>
     runBatch(const std::vector<MachineConfig> &configs,

@@ -1,9 +1,6 @@
 #include "core/interframe.hh"
 
-#include <vector>
-
-#include "raster/raster.hh"
-#include "texture/sampler.hh"
+#include "core/sequence.hh"
 
 namespace texdist
 {
@@ -26,79 +23,19 @@ translateScene(const Scene &scene, float dx, float dy)
     return out;
 }
 
-namespace
-{
-
-/** Render one frame through the per-node caches; return fragments. */
-uint64_t
-renderThroughCaches(
-    const Scene &scene, const Distribution &dist,
-    std::vector<std::unique_ptr<TextureCache>> &caches)
-{
-    const std::vector<uint16_t> &owners = dist.ownerMap();
-    uint32_t screen_w = dist.screenWidth();
-    Rect screen = scene.screenRect();
-    uint64_t fragments = 0;
-    TexelRefs refs;
-
-    for (const TexTriangle &tri : scene.triangles) {
-        const Texture &tex = scene.textures.get(tri.tex);
-        TriangleRaster raster(tri, tex.width(), tex.height());
-        if (raster.degenerate())
-            continue;
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            ++fragments;
-            TextureCache &cache =
-                *caches[owners[size_t(frag.y) * screen_w +
-                               size_t(frag.x)]];
-            TrilinearSampler::generate(tex, frag.u, frag.v, frag.lod,
-                                       refs);
-            for (uint64_t addr : refs)
-                cache.access(addr);
-        });
-    }
-    return fragments;
-}
-
-uint64_t
-totalTexelsFetched(
-    const std::vector<std::unique_ptr<TextureCache>> &caches)
-{
-    uint64_t total = 0;
-    for (const auto &cache : caches)
-        total += cache->texelsFetched();
-    return total;
-}
-
-} // namespace
-
+// texlint: phase(serial) builds and runs a whole machine
 InterFrameResult
-interFrameTraffic(
-    const Scene &frame1, const Scene &frame2,
-    const Distribution &dist,
-    const std::function<std::unique_ptr<TextureCache>()> &make_cache)
+measureInterFrame(const Scene &frame1, const Scene &frame2,
+                  const MachineConfig &config)
 {
-    std::vector<std::unique_ptr<TextureCache>> caches;
-    for (uint32_t p = 0; p < dist.numProcs(); ++p)
-        caches.push_back(make_cache());
-
+    SequenceMachine machine(frame1, config);
+    FrameResult first = machine.runFrameFunctional(frame1);
+    FrameResult second = machine.runFrameFunctional(frame2);
     InterFrameResult out;
-    out.frame1Fragments =
-        renderThroughCaches(frame1, dist, caches);
-    uint64_t after_frame1 = totalTexelsFetched(caches);
-    out.frame1Ratio = out.frame1Fragments
-                          ? double(after_frame1) /
-                                double(out.frame1Fragments)
-                          : 0.0;
-
-    out.frame2Fragments =
-        renderThroughCaches(frame2, dist, caches);
-    uint64_t frame2_fetched =
-        totalTexelsFetched(caches) - after_frame1;
-    out.frame2Ratio = out.frame2Fragments
-                          ? double(frame2_fetched) /
-                                double(out.frame2Fragments)
-                          : 0.0;
+    out.frame1Ratio = first.texelToFragmentRatio;
+    out.frame2Ratio = second.texelToFragmentRatio;
+    out.frame1Fragments = first.totalPixels;
+    out.frame2Fragments = second.totalPixels;
     return out;
 }
 

@@ -15,11 +15,9 @@
 #ifndef TEXDIST_CORE_INTERFRAME_HH
 #define TEXDIST_CORE_INTERFRAME_HH
 
-#include <functional>
-#include <memory>
+#include <cstdint>
 
-#include "cache/cache.hh"
-#include "core/distribution.hh"
+#include "core/config.hh"
 #include "scene/scene.hh"
 
 namespace texdist
@@ -51,15 +49,14 @@ struct InterFrameResult
 };
 
 /**
- * Functional (untimed) two-frame cache simulation: each node owns a
- * cache from @p make_cache; frame 1 is rendered through the caches,
- * then frame 2 without resetting them. Both frames must share the
- * distribution's screen size and a common texture address space.
+ * Run @p frame1 (cold) and then @p frame2 functionally on one
+ * machine of @p config, so frame 2 sees the caches frame 1 left.
+ * Both frames must share the screen size and a common texture
+ * address space (translateScene guarantees both).
  */
-InterFrameResult interFrameTraffic(
-    const Scene &frame1, const Scene &frame2,
-    const Distribution &dist,
-    const std::function<std::unique_ptr<TextureCache>()> &make_cache);
+InterFrameResult measureInterFrame(const Scene &frame1,
+                                   const Scene &frame2,
+                                   const MachineConfig &config);
 
 } // namespace texdist
 

@@ -4,364 +4,35 @@
 #include <iomanip>
 #include <sstream>
 
-#include "sim/logging.hh"
+#include "core/sequence.hh"
 
 namespace texdist
 {
 
-namespace
-{
-
-/** (max - mean) / mean in percent; 0 for empty or all-zero input. */
-template <typename T>
 double
-imbalancePct(const std::vector<T> &values)
+imbalancePercent(const std::vector<uint64_t> &values)
 {
     if (values.empty())
         return 0.0;
-    double sum = 0.0;
-    double max = 0.0;
-    for (T v : values) {
-        sum += double(v);
-        max = std::max(max, double(v));
+    uint64_t max = 0;
+    uint64_t sum = 0;
+    for (uint64_t v : values) {
+        max = std::max(max, v);
+        sum += v;
     }
-    double mean = sum / double(values.size());
-    return mean > 0.0 ? (max - mean) / mean * 100.0 : 0.0;
+    double mean = double(sum) / double(values.size());
+    return mean > 0.0 ? (double(max) - mean) / mean * 100.0 : 0.0;
 }
 
-} // namespace
-
-ParallelMachine::ParallelMachine(const Scene &scene_,
-                                 const MachineConfig &config)
-    : ParallelMachine(scene_, config,
-                      Distribution::make(
-                          config.dist, scene_.screenWidth,
-                          scene_.screenHeight, config.numProcs,
-                          config.tileParam, config.interleave))
-{
-}
-
-ParallelMachine::ParallelMachine(
-    const Scene &scene_, const MachineConfig &config,
-    std::unique_ptr<Distribution> distribution)
-    : scene(scene_), cfg(config), dist(std::move(distribution))
-{
-    if (dist->numProcs() != cfg.numProcs ||
-        dist->screenWidth() != scene.screenWidth ||
-        dist->screenHeight() != scene.screenHeight)
-        texdist_fatal("distribution does not match scene/config: ",
-                      dist->describe());
-    nodes.reserve(cfg.numProcs);
-    for (uint32_t i = 0; i < cfg.numProcs; ++i)
-        nodes.push_back(std::make_unique<TextureNode>(
-            i, cfg, scene.textures, eq));
-    feeder_ = std::make_unique<GeometryFeeder>(scene, *dist, nodes,
-                                               eq, cfg);
-    for (auto &node : nodes)
-        node->setFeeder(feeder_.get());
-}
-
-void
-ParallelMachine::armFaults()
-{
-    for (const FaultSpec &fault : cfg.faults.resolve(cfg.numProcs)) {
-        TextureNode *victim = nodes[fault.victim].get();
-        Tick end = fault.duration > 0 ? fault.at + fault.duration
-                                      : maxTick;
-        std::function<void()> strike;
-        std::function<void()> recover;
-        switch (fault.kind) {
-          case FaultKind::SlowNode:
-            strike = [this, victim, fault] {
-                ++faultStats.injected;
-                victim->setSlowdown(fault.factor);
-            };
-            if (fault.duration > 0)
-                recover = [victim] { victim->setSlowdown(1); };
-            break;
-          case FaultKind::BusStall:
-            strike = [this, victim, fault, end] {
-                ++faultStats.injected;
-                victim->stallBus(fault.at, end);
-            };
-            break;
-          case FaultKind::FifoFreeze:
-            strike = [this, victim] {
-                ++faultStats.injected;
-                victim->freezeFifo();
-            };
-            // The feeder may be blocked on the frozen FIFO with no
-            // other event to wake it, so recovery must nudge it.
-            recover = [this, victim] {
-                victim->unfreezeFifo();
-                feeder_->notifySpaceFreed();
-            };
-            break;
-          case FaultKind::KillNode:
-            strike = [this, fault] {
-                ++faultStats.injected;
-                killNode(fault.victim, "fault plan");
-            };
-            break;
-        }
-
-        auto ev = std::make_unique<LambdaEvent>(std::move(strike),
-                                                "fault strike");
-        eq.schedule(ev.get(), fault.at);
-        faultEvents.push_back(std::move(ev));
-        if (recover && fault.duration > 0) {
-            auto rev = std::make_unique<LambdaEvent>(
-                std::move(recover), "fault recovery");
-            eq.schedule(rev.get(), end);
-            faultEvents.push_back(std::move(rev));
-        }
-    }
-}
-
-bool
-ParallelMachine::workRemains() const
-{
-    if (!feeder_->done())
-        return true;
-    for (const auto &node : nodes)
-        if (!node->isDead() && node->fifoOccupancy() > 0)
-            return true;
-    return false;
-}
-
-uint32_t
-ParallelMachine::aliveNodes() const
-{
-    uint32_t alive = 0;
-    for (const auto &node : nodes)
-        alive += node->isDead() ? 0 : 1;
-    return alive;
-}
-
-bool
-ParallelMachine::onStall(Tick now)
-{
-    // A node that is still burning committed cycles (one big
-    // triangle is simulated atomically at its start tick) is
-    // healthy, not stalled — without this check the watchdog would
-    // fire on any triangle longer than its interval.
-    for (const auto &node : nodes)
-        if (!node->isDead() && node->busyUntil() > now)
-            return true;
-
-    if (faultStats.detectionTick == 0)
-        faultStats.detectionTick = now;
-    if (_diagnostic.empty())
-        _diagnostic = dumpMachineState();
-
-    if (cfg.watchdogPolicy == WatchdogPolicy::Degrade) {
-        int32_t culprit = feeder_->blockedOn();
-        if (culprit < 0) {
-            // The feeder is not blocked; look for a frozen node.
-            for (const auto &node : nodes)
-                if (!node->isDead() && node->frozen())
-                    culprit = int32_t(node->id());
-        }
-        if (culprit >= 0 && aliveNodes() > 1) {
-            killNode(uint32_t(culprit), "watchdog");
-            feeder_->notifySpaceFreed();
-            return true;
-        }
-    }
-
-    failFrame(detail::concat(
-        "watchdog: no progress for ", cfg.watchdogTicks,
-        " ticks at tick ", now, " with work remaining (",
-        feeder_->trianglesDispatched(), " triangles dispatched)"));
-    return false;
-}
-
-void
-ParallelMachine::failFrame(const std::string &reason)
-{
-    _failed = true;
-    _failureReason = reason;
-    if (_diagnostic.empty())
-        _diagnostic = dumpMachineState();
-    warn(reason);
-
-    // Cancel everything still pending so the queue drains instead of
-    // spinning (a livelocked feeder would otherwise reschedule
-    // forever) and no event outlives the frame scheduled.
-    feeder_->cancelPending();
-    for (auto &node : nodes)
-        node->cancelPending();
-    for (auto &ev : faultEvents)
-        if (ev->scheduled())
-            eq.deschedule(ev.get());
-    if (watchdog_)
-        watchdog_->cancel();
-}
-
-std::string
-ParallelMachine::dumpMachineState() const
-{
-    std::ostringstream os;
-    os << "machine state at tick " << eq.curTick() << ":\n"
-       << "  feeder: dispatched=" << feeder_->trianglesDispatched()
-       << " done=" << (feeder_->done() ? 1 : 0)
-       << " blocked_on=" << feeder_->blockedOn() << "\n";
-    for (const auto &node : nodes) {
-        os << "  " << node->name() << ": fifo="
-           << node->fifoOccupancy() << "/" << cfg.triangleBufferSize
-           << " pixels=" << node->pixelsDrawn()
-           << " busy_until=" << node->busyUntil()
-           << " slowdown=" << node->slowdown()
-           << " frozen=" << (node->frozen() ? 1 : 0)
-           << " dead=" << (node->isDead() ? 1 : 0) << "\n";
-    }
-    return os.str();
-}
-
-void
-ParallelMachine::killNode(uint32_t victim, const char *why)
-{
-    if (victim >= nodes.size())
-        texdist_fatal("killNode: node ", victim, " out of range");
-    TextureNode &node = *nodes[victim];
-    if (node.isDead())
-        return;
-
-    std::vector<TriangleWork> pending = node.kill();
-    feeder_->markDead(victim);
-    _degraded = true;
-    ++faultStats.nodesKilled;
-
-    if (aliveNodes() == 0) {
-        failFrame(detail::concat("node ", victim, " died (", why,
-                                 ") and no nodes survive"));
-        return;
-    }
-
-    // Migrate the dead node's queued work round-robin over the
-    // survivors. Each migrated TriangleWork pays setup again on its
-    // new node and misses that node's cache — the locality penalty
-    // of degradation, measured rather than assumed.
-    faultStats.trianglesRedistributed += pending.size();
-    for (TriangleWork &work : pending) {
-        size_t n = nodes.size();
-        for (size_t step = 1; step <= n; ++step) {
-            size_t cand = (redistributeCursor + step) % n;
-            if (!nodes[cand]->isDead()) {
-                redistributeCursor = cand;
-                nodes[cand]->forceEnqueue(std::move(work));
-                break;
-            }
-        }
-    }
-
-    warn("node ", victim, " declared dead (", why, "): ",
-         pending.size(), " queued triangles redistributed to ",
-         aliveNodes(), " survivors");
-
-    // The feeder may have been blocked on the dead node's FIFO.
-    feeder_->notifySpaceFreed();
-}
-
-FrameResult
-ParallelMachine::run()
-{
-    if (ran)
-        texdist_panic("ParallelMachine::run() called twice");
-    ran = true;
-
-    armFaults();
-    if (cfg.watchdogTicks > 0) {
-        watchdog_ = std::make_unique<Watchdog>(
-            eq, cfg.watchdogTicks, [this] { return workRemains(); },
-            [this](Tick now) { return onStall(now); });
-        watchdog_->start();
-    }
-
-    feeder_->start();
-    eq.run();
-
-    if (!_failed && !feeder_->done())
-        texdist_panic("event queue drained with triangles pending "
-                      "(enable --watchdog-ticks for a diagnosed "
-                      "failure)");
-
-    FrameResult out;
-    out.nodes.reserve(nodes.size());
-    out.trianglesDispatched = feeder_->trianglesDispatched();
-
-    std::vector<uint64_t> pixel_counts;
-    std::vector<Tick> finish_times;
-    double bus_util_sum = 0.0;
-
-    Tick frame_time = 0;
-    for (const auto &node : nodes)
-        frame_time = std::max(frame_time, node->finishTime());
-    out.frameTime = frame_time;
-
-    for (const auto &node : nodes) {
-        NodeResult nr;
-        nr.pixels = node->pixelsDrawn();
-        nr.triangles = node->trianglesReceived();
-        nr.finishTime = node->finishTime();
-        nr.cacheAccesses = node->cache().accesses();
-        nr.cacheMisses = node->cache().misses();
-        nr.texelsFetched = node->cache().texelsFetched();
-        nr.stallCycles = node->stallCycles();
-        nr.idleCycles = node->idleCycles();
-        nr.setupBoundTriangles = node->setupBoundTriangles();
-        nr.setupWaitCycles = node->setupWaitCycles();
-        nr.fifoMaxOccupancy = node->fifoMaxOccupancy();
-        if (node->bus())
-            nr.busUtilization =
-                node->bus()->utilization(frame_time);
-
-        out.totalPixels += nr.pixels;
-        out.totalTexelsFetched += nr.texelsFetched;
-        out.fifoMaxOccupancy =
-            std::max(out.fifoMaxOccupancy, nr.fifoMaxOccupancy);
-        bus_util_sum += nr.busUtilization;
-
-        pixel_counts.push_back(nr.pixels);
-        finish_times.push_back(nr.finishTime);
-        out.nodes.push_back(nr);
-    }
-
-    out.texelToFragmentRatio =
-        out.totalPixels ? double(out.totalTexelsFetched) /
-                              double(out.totalPixels)
-                        : 0.0;
-    out.pixelImbalancePercent = imbalancePct(pixel_counts);
-    out.timeImbalancePercent = imbalancePct(finish_times);
-    out.meanBusUtilization = bus_util_sum / double(nodes.size());
-
-    out.degraded = _degraded;
-    out.failed = _failed;
-    out.failureReason = _failureReason;
-    out.diagnostic = _diagnostic;
-    faultStats.fragmentsRerouted = feeder_->fragmentsRerouted();
-    if (watchdog_)
-        faultStats.watchdogChecks = watchdog_->checks();
-    out.faultStats = faultStats;
-    return out;
-}
-
-void
-ParallelMachine::dumpStats(std::ostream &os) const
-{
-    feeder_->dumpStats(os);
-    for (const auto &node : nodes)
-        node->dumpStats(os);
-}
-
-// texlint: phase(serial) builds and runs a whole event-driven
-// machine; must only be called from serial code (or an isolated
-// sweep task that owns its private universe)
+// texlint: phase(serial) builds and runs a whole machine; must only
+// be called from serial code (or an isolated task that owns its
+// private universe)
 FrameResult
 runFrame(const Scene &scene, const MachineConfig &config)
 {
-    ParallelMachine machine(scene, config);
-    return machine.run();
+    SequenceMachine machine(scene, config, 1,
+                            FrameEntry::SingleFrame);
+    return machine.runFrame(scene);
 }
 
 void

@@ -1,24 +1,23 @@
 /**
  * @file
- * The parallel sort-middle machine of Figure 4: a distribution, P
- * texture-mapping nodes with private caches and texture memories,
- * and the idealized geometry feeder, all on one event queue. Running
- * a frame produces the measurements the paper's figures are built
- * from.
+ * What running a frame of the parallel sort-middle machine of
+ * Figure 4 measures — the numbers the paper's figures are built
+ * from — and the one-call entry point for a single frame. The
+ * machine itself (a distribution, P texture-mapping nodes with
+ * private caches and texture memories, the idealized geometry
+ * feeder) is SequenceMachine; a single frame is a one-frame
+ * sequence.
  */
 
 #ifndef TEXDIST_CORE_MACHINE_HH
 #define TEXDIST_CORE_MACHINE_HH
 
-#include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "core/config.hh"
-#include "core/feeder.hh"
-#include "core/node.hh"
 #include "scene/scene.hh"
-#include "sim/watchdog.hh"
 
 namespace texdist
 {
@@ -109,88 +108,14 @@ struct FrameResult
     void print(std::ostream &os) const;
 };
 
+/** (max - mean) / mean in percent; 0 for empty or all-zero input. */
+double imbalancePercent(const std::vector<uint64_t> &values);
+
 /**
- * One machine instance bound to one scene. Build, run() once, read
- * the result (the machine is single-shot; build a new one per
- * configuration, they are cheap relative to a frame).
+ * Build a machine and run one frame of @p scene on it, cold. Single
+ * frames report the FIFO high-water mark under the single-frame tie
+ * rule (see FrameEntry).
  */
-class ParallelMachine
-{
-  public:
-    ParallelMachine(const Scene &scene, const MachineConfig &config);
-
-    /**
-     * Build around an externally constructed distribution (e.g. a
-     * MappedBlockDistribution from the oracle balancer). The
-     * distribution's screen size and processor count must match the
-     * scene and config.
-     */
-    ParallelMachine(const Scene &scene, const MachineConfig &config,
-                    std::unique_ptr<Distribution> distribution);
-
-    /** Simulate the frame to completion. */
-    FrameResult run();
-
-    const Distribution &distribution() const { return *dist; }
-    const MachineConfig &config() const { return cfg; }
-
-    /** Per-node access for tests and detailed reports. */
-    const TextureNode &node(uint32_t i) const { return *nodes[i]; }
-    /** Mutable per-node access for the oracle's hooks. */
-    TextureNode &node(uint32_t i) { return *nodes[i]; }
-    uint32_t numNodes() const { return uint32_t(nodes.size()); }
-    const GeometryFeeder &feeder() const { return *feeder_; }
-
-    /** Dump every component's statistics (gem5-style lines). */
-    void dumpStats(std::ostream &os) const;
-
-    /**
-     * Declare a node dead and redistribute its queued work to the
-     * survivors (public so tests can exercise degradation directly;
-     * normally driven by the fault plan or the watchdog).
-     */
-    void killNode(uint32_t victim, const char *why);
-
-  private:
-    /** Schedule the configured fault plan onto the event queue. */
-    void armFaults();
-
-    /** True while triangles remain undispatched or queued. */
-    bool workRemains() const;
-
-    /**
-     * Watchdog callback: no progress over a full interval. Returns
-     * true to keep monitoring (healthy or recovered by
-     * degradation), false when the frame was abandoned.
-     */
-    bool onStall(Tick now);
-
-    /** Abandon the frame: record the reason, cancel all events. */
-    void failFrame(const std::string &reason);
-
-    /** Per-node state dump for watchdog diagnostics. */
-    std::string dumpMachineState() const;
-
-    uint32_t aliveNodes() const;
-
-    const Scene &scene;
-    MachineConfig cfg;
-    EventQueue eq;
-    std::unique_ptr<Distribution> dist;
-    std::vector<std::unique_ptr<TextureNode>> nodes;
-    std::unique_ptr<GeometryFeeder> feeder_;
-    std::unique_ptr<Watchdog> watchdog_;
-    std::vector<std::unique_ptr<LambdaEvent>> faultEvents;
-    FaultStats faultStats;
-    size_t redistributeCursor = 0;
-    bool _degraded = false;
-    bool _failed = false;
-    std::string _failureReason;
-    std::string _diagnostic;
-    bool ran = false;
-};
-
-/** Convenience: build and run one configuration. */
 FrameResult runFrame(const Scene &scene, const MachineConfig &config);
 
 } // namespace texdist

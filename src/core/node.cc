@@ -5,7 +5,6 @@
 
 #include "cache/two_level.hh"
 #include "core/error.hh"
-#include "core/feeder.hh"
 #include "texture/sampler.hh"
 
 namespace texdist
@@ -23,16 +22,15 @@ nodeName(uint32_t id)
 } // namespace
 
 TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
-                         const TextureManager &textures_,
-                         EventQueue &eq_)
-    : SimObject(nodeName(id), eq_), nodeId(id), cfg(config),
+                         const TextureManager &textures_)
+    : SimObject(nodeName(id)), nodeId(id), cfg(config),
       textures(textures_),
       cache_(config.hasL2 && config.cacheKind == CacheKind::SetAssoc
                  ? std::make_unique<TwoLevelCache>(config.cacheGeom,
                                                    config.l2Geom,
                                                    config.l2Inclusive)
                  : makeCache(config.cacheKind, config.cacheGeom)),
-      fifo(config.triangleBufferSize), workEvent(*this)
+      fifo(config.triangleBufferSize)
 {
     if (!cfg.infiniteBus)
         bus_ = std::make_unique<TextureBus>(cfg.busTexelsPerCycle);
@@ -52,29 +50,6 @@ TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
 }
 
 void
-TextureNode::enqueue(TriangleWork &&work)
-{
-    if (_dead)
-        texdist_panic(name(), ": enqueue to a dead node");
-    fifo.push(std::move(work));
-    if (!workEvent.scheduled()) {
-        // The node was idle: it can start this triangle as soon as
-        // its scan engine is free (which may be in the past).
-        eventq().schedule(&workEvent, std::max(curTick(), cpuTime));
-    }
-}
-
-void
-TextureNode::forceEnqueue(TriangleWork &&work)
-{
-    if (_dead)
-        texdist_panic(name(), ": forceEnqueue to a dead node");
-    fifo.forcePush(std::move(work));
-    if (!workEvent.scheduled())
-        eventq().schedule(&workEvent, std::max(curTick(), cpuTime));
-}
-
-void
 TextureNode::setSlowdown(uint32_t factor)
 {
     if (factor == 0)
@@ -82,25 +57,12 @@ TextureNode::setSlowdown(uint32_t factor)
     _slowdown = factor;
 }
 
-std::vector<TriangleWork>
-TextureNode::kill()
+void
+TextureNode::markDead()
 {
     if (_dead)
         texdist_panic(name(), ": killed twice");
     _dead = true;
-    cancelPending();
-    std::vector<TriangleWork> pending;
-    pending.reserve(fifo.size());
-    while (!fifo.empty())
-        pending.push_back(fifo.pop());
-    return pending;
-}
-
-void
-TextureNode::cancelPending()
-{
-    if (workEvent.scheduled())
-        eventq().deschedule(&workEvent);
 }
 
 void
@@ -194,56 +156,6 @@ TextureNode::scanFragments(TextureId texid,
     return cpu;
 }
 
-void
-TextureNode::runTriangle(TextureId tex, const NodeFragment *frags,
-                         size_t count, Tick start)
-{
-    _idleCycles += start > cpuTime ? start - cpuTime : 0;
-
-    ++_trianglesReceived;
-    _pixelsDrawn += count;
-    trianglePixels.add(double(count));
-
-    if (coverage) {
-        for (size_t i = 0; i < count; ++i) {
-            uint32_t x = frags[i].x;
-            if (_plantCoverageShift && i == 0)
-                x ^= 1u;
-            coverage->note(x, frags[i].y);
-        }
-    }
-
-    Tick scan_end = scanFragments(tex, frags, count, start);
-    Tick setup_end = start + Tick(cfg.setupCyclesPerTriangle) * _slowdown;
-    if (scan_end < setup_end) {
-        // Fewer pixels than the setup engine needs cycles: the
-        // triangle is setup-bound (the paper's small-tile penalty).
-        ++_setupBound;
-        _setupWaitCycles += setup_end - scan_end;
-        cpuTime = setup_end;
-    } else {
-        cpuTime = scan_end;
-    }
-}
-
-void
-TextureNode::processNext()
-{
-    Tick start = curTick();
-
-    TriangleWork work = fifo.pop();
-    if (feeder)
-        feeder->notifySpaceFreed();
-
-    eventq().noteProgress();
-
-    runTriangle(work.tex, work.frags.data(), work.frags.size(),
-                start);
-
-    if (!fifo.empty())
-        eventq().schedule(&workEvent, cpuTime);
-}
-
 // texlint: phase(parallel) runs inside a drain task that owns this
 // node outright; touches no state outside the node
 void
@@ -304,11 +216,35 @@ Tick
 TextureNode::consumeDirect(Tick push_tick, TextureId tex,
                            const NodeFragment *frags, size_t count)
 {
-    if (_dead || _frozen)
-        texdist_panic(name(), ": consumeDirect on a dead or frozen "
-                      "node");
+    if (_dead)
+        texdist_panic(name(), ": consumeDirect on a dead node");
     Tick start = nextStart(push_tick);
-    runTriangle(tex, frags, count, start);
+    _idleCycles += start > cpuTime ? start - cpuTime : 0;
+
+    ++_trianglesReceived;
+    _pixelsDrawn += count;
+    trianglePixels.add(double(count));
+
+    if (coverage) {
+        for (size_t i = 0; i < count; ++i) {
+            uint32_t x = frags[i].x;
+            if (_plantCoverageShift && i == 0)
+                x ^= 1u;
+            coverage->note(x, frags[i].y);
+        }
+    }
+
+    Tick scan_end = scanFragments(tex, frags, count, start);
+    Tick setup_end = start + Tick(cfg.setupCyclesPerTriangle) * _slowdown;
+    if (scan_end < setup_end) {
+        // Fewer pixels than the setup engine needs cycles: the
+        // triangle is setup-bound (the paper's small-tile penalty).
+        ++_setupBound;
+        _setupWaitCycles += setup_end - scan_end;
+        cpuTime = setup_end;
+    } else {
+        cpuTime = scan_end;
+    }
     return start;
 }
 
@@ -431,11 +367,6 @@ TextureNode::unserialize(CheckpointReader &r)
     if (bus_)
         bus_->unserialize(r);
 
-    if (workEvent.scheduled())
-        eventq().deschedule(&workEvent);
-    if (!fifo.empty() && !_dead)
-        eventq().schedule(&workEvent,
-                          std::max(curTick(), cpuTime));
 }
 
 } // namespace texdist

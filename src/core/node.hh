@@ -37,8 +37,6 @@
 namespace texdist
 {
 
-class GeometryFeeder;
-
 /** One fragment as dispatched to a node. */
 struct NodeFragment
 {
@@ -49,7 +47,13 @@ struct NodeFragment
     float lod;
 };
 
-/** One triangle FIFO entry: the node's share of a triangle. */
+/**
+ * One triangle FIFO entry: the node's share of a triangle. The
+ * frame engine streams triangles straight into the node, so the
+ * FIFO itself only keeps the occupancy high-water mark; entries
+ * exist only as the checkpoint format's (always empty) FIFO
+ * contents.
+ */
 struct TriangleWork
 {
     TextureId tex = 0;
@@ -62,46 +66,14 @@ class TextureNode : public SimObject
 {
   public:
     TextureNode(uint32_t id, const MachineConfig &config,
-                const TextureManager &textures, EventQueue &eq);
-
-    /** The feeder to notify when FIFO space frees. */
-    void setFeeder(GeometryFeeder *f) { feeder = f; }
+                const TextureManager &textures);
 
     uint32_t id() const { return nodeId; }
 
-    /**
-     * Free entries in the triangle FIFO. A frozen or dead node
-     * accepts nothing, which is how a fault back-pressures the
-     * in-order feeder.
-     */
-    bool
-    fifoHasSpace() const
-    {
-        return !_frozen && !_dead && !fifo.full();
-    }
-
-    /** Current triangle FIFO occupancy. */
-    size_t fifoOccupancy() const { return fifo.size(); }
-
-    /**
-     * Push one triangle's work (called by the feeder at the current
-     * tick). The caller must have checked fifoHasSpace().
-     */
-    void enqueue(TriangleWork &&work);
-
-    /**
-     * Push one triangle's work ignoring FIFO capacity — graceful
-     * degradation migrating a dead node's queue onto a survivor.
-     */
-    void forceEnqueue(TriangleWork &&work);
-
-    // --- two-phase (queue-free) execution --------------------------------
-    //
-    // The deterministic parallel engine bypasses the event queue and
-    // the FIFO object: the node's evolution is a pure function of
-    // its (push tick, work) stream, because triangle k starts at
-    // max(scan-free time after k-1, push tick of k) — exactly when
-    // the event-driven machine would have fired its work event.
+    // The node's evolution is a pure function of its (push tick,
+    // work) stream: triangle k starts at max(scan-free time after
+    // k-1, push tick of k). The frame engine computes the push ticks
+    // and feeds the node directly.
 
     /** Tick at which work pushed at @p push_tick would start. */
     Tick
@@ -111,17 +83,15 @@ class TextureNode : public SimObject
     }
 
     /**
-     * Process one triangle pushed at @p push_tick directly,
-     * replicating processNext() exactly (idle accounting, scan,
-     * setup bound) without event-queue or FIFO involvement.
-     * @return the start tick, i.e. when the event-driven machine
-     *         would have popped this triangle from the FIFO
+     * Process one triangle pushed at @p push_tick: idle accounting,
+     * fragment scan, setup bound.
+     * @return the start tick, i.e. when the triangle left the FIFO
      */
     Tick consumeDirect(Tick push_tick, TextureId tex,
                        const NodeFragment *frags, size_t count);
 
     /**
-     * Fold the FIFO occupancy high-water computed by the two-phase
+     * Fold the FIFO occupancy high-water computed by the frame
      * engine into this node's FIFO statistic (and thus into results
      * and checkpoints).
      */
@@ -144,8 +114,8 @@ class TextureNode : public SimObject
 
     /**
      * Tick until which the node is burning already-committed cycles.
-     * While this is ahead of the current tick the node is healthy
-     * even if no event has fired for a while (one large triangle is
+     * While this is ahead of a watchdog check the node is healthy
+     * even if it started nothing for a while (one large triangle is
      * simulated atomically), so the watchdog must not declare it
      * stalled.
      */
@@ -161,24 +131,23 @@ class TextureNode : public SimObject
 
     uint32_t slowdown() const { return _slowdown; }
 
-    /** Stop/resume accepting triangles — the fifo-freeze fault. */
+    /**
+     * Stop/resume accepting triangles — the fifo-freeze fault. A
+     * frozen node still drains what it already queued.
+     */
     void freezeFifo() { _frozen = true; }
     void unfreezeFifo() { _frozen = false; }
     bool frozen() const { return _frozen; }
 
     /**
-     * Declare the node dead: it stops processing and returns its
-     * queued (not yet started) work for redistribution. The triangle
+     * Declare the node dead: it starts no further triangles (the
+     * frame engine moves its queue to the survivors). The triangle
      * already in flight completes — its cycles and pixels were
-     * committed when it started. Idempotent-hostile: callers check
-     * isDead() first.
+     * committed when it started.
      */
-    std::vector<TriangleWork> kill();
+    void markDead();
 
     bool isDead() const { return _dead; }
-
-    /** Deschedule any pending work event (frame abandonment). */
-    void cancelPending();
 
     /**
      * Inject a bus blackout over [from, until); no-op (with a
@@ -272,36 +241,11 @@ class TextureNode : public SimObject
 
     /**
      * Restore state serialized by a node with the same id and
-     * configuration; fatal on mismatch. If the restored FIFO is
-     * non-empty the work event is rescheduled so the queued
-     * triangles drain.
+     * configuration; throws ParseError on mismatch.
      */
     void unserialize(CheckpointReader &r);
 
   private:
-    /** Event: start processing the FIFO head. */
-    class WorkEvent : public Event
-    {
-      public:
-        explicit WorkEvent(TextureNode &owner) : node(owner) {}
-        void process() override { node.processNext(); }
-        const char *description() const override
-        { return "node work"; }
-
-      private:
-        TextureNode &node;
-    };
-
-    void processNext();
-
-    /**
-     * Shared core of processNext and consumeDirect: charge one
-     * triangle (idle time, counters, fragment scan, setup engine)
-     * starting at @p start and advance the scan-free time.
-     */
-    void runTriangle(TextureId tex, const NodeFragment *frags,
-                     size_t count, Tick start);
-
     /** Scan one triangle's fragments starting at @p start. */
     Tick scanFragments(TextureId tex, const NodeFragment *frags,
                        size_t count, Tick start);
@@ -311,15 +255,10 @@ class TextureNode : public SimObject
     // the prefetch ring against it
     MachineConfig cfg;
     const TextureManager &textures;
-    // texlint: allow(checkpoint) wiring, re-established by the machine
-    GeometryFeeder *feeder = nullptr;
 
     std::unique_ptr<TextureCache> cache_;
     std::unique_ptr<TextureBus> bus_;
     BoundedFifo<TriangleWork> fifo;
-    // texlint: allow(checkpoint) rescheduled from the restored FIFO, not
-    // stored
-    WorkEvent workEvent;
 
     /** When the scan engine is next free. */
     Tick cpuTime = 0;

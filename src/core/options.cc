@@ -376,6 +376,14 @@ SimOptions::resolvedJobs() const
     return jobs > 0 ? jobs : ThreadPool::defaultThreads();
 }
 
+bool
+SimOptions::singleFrame() const
+{
+    return frames <= 1 && checkpointEvery == 0 && restorePath.empty() &&
+           replayVerifyPath.empty() && panDx == 0.0 && panDy == 0.0 &&
+           !sample.enabled();
+}
+
 SimOptions
 SimOptions::parse(int argc, char **argv)
 {

@@ -196,6 +196,14 @@ struct SimOptions
     uint32_t resolvedJobs() const;
 
     /**
+     * A classic single-frame run: one cold frame with no pan,
+     * sampling, checkpointing or replay. It reports like the paper
+     * (full frame dump, speedup over T(1)) and counts the FIFO
+     * high-water mark under the single-frame tie rule.
+     */
+    bool singleFrame() const;
+
+    /**
      * Parse argv. Unknown options throw ParseError (a simulator run
      * with a misspelled parameter must not silently run the
      * default).

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "raster/raster.hh"
-#include "sim/logging.hh"
+#include "core/sequence.hh"
 
 namespace texdist
 {
@@ -16,128 +15,42 @@ to_string(SortLastAssign assign)
                                                 : "chunked";
 }
 
-SortLastMachine::SortLastMachine(const Scene &scene_,
-                                 const SortLastConfig &config)
-    : scene(scene_), cfg(config)
+namespace
 {
-    uint32_t procs = cfg.node.numProcs;
-    if (procs == 0)
-        texdist_fatal("sort-last machine needs at least one node");
-    if (cfg.assign == SortLastAssign::Chunked && cfg.chunkSize == 0)
-        texdist_fatal("chunk size must be positive");
 
-    // Every node owns its whole triangle stream up front (the
-    // geometry stage is parallel in sort-last), so the FIFO just
-    // needs to be big enough to hold it.
-    MachineConfig node_cfg = cfg.node;
-    node_cfg.triangleBufferSize = uint32_t(
-        scene.triangles.size() / procs +
-        (cfg.assign == SortLastAssign::Chunked ? cfg.chunkSize : 1) +
-        8);
-
-    nodes.reserve(procs);
-    for (uint32_t i = 0; i < procs; ++i)
-        nodes.push_back(std::make_unique<TextureNode>(
-            i, node_cfg, scene.textures, eq));
-}
-
+/** A sort-last frame's render time plus its composition cost. */
 SortLastResult
-SortLastMachine::run()
+sortLastResult(const FrameResult &frame, const Scene &scene,
+               const SortLastConfig &config)
 {
-    if (ran)
-        texdist_panic("SortLastMachine::run() called twice");
-    ran = true;
-
-    uint32_t procs = cfg.node.numProcs;
-    Rect screen = scene.screenRect();
-
-    // Deal the triangles and materialize each node's fragments.
-    for (size_t t = 0; t < scene.triangles.size(); ++t) {
-        uint32_t target;
-        if (cfg.assign == SortLastAssign::RoundRobin)
-            target = uint32_t(t % procs);
-        else
-            target = uint32_t((t / cfg.chunkSize) % procs);
-
-        const TexTriangle &tri = scene.triangles[t];
-        const Texture &tex = scene.textures.get(tri.tex);
-        TriangleRaster raster(tri, tex.width(), tex.height());
-        if (raster.degenerate())
-            continue;
-        Rect bbox = raster.bbox().intersect(screen);
-        if (bbox.empty())
-            continue;
-
-        TriangleWork work;
-        work.tex = tri.tex;
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            work.frags.push_back(NodeFragment{
-                uint16_t(frag.x), uint16_t(frag.y), frag.u, frag.v,
-                frag.lod});
-        });
-        nodes[target]->enqueue(std::move(work));
-    }
-
-    eq.run();
-
     SortLastResult out;
-    std::vector<uint64_t> pixel_counts;
-    for (const auto &node : nodes) {
-        out.renderTime =
-            std::max(out.renderTime, node->finishTime());
-    }
-    for (const auto &node : nodes) {
-        NodeResult nr;
-        nr.pixels = node->pixelsDrawn();
-        nr.triangles = node->trianglesReceived();
-        nr.finishTime = node->finishTime();
-        nr.cacheAccesses = node->cache().accesses();
-        nr.cacheMisses = node->cache().misses();
-        nr.texelsFetched = node->cache().texelsFetched();
-        nr.stallCycles = node->stallCycles();
-        nr.idleCycles = node->idleCycles();
-        nr.setupBoundTriangles = node->setupBoundTriangles();
-        nr.setupWaitCycles = node->setupWaitCycles();
-        if (node->bus())
-            nr.busUtilization =
-                node->bus()->utilization(out.renderTime);
-        out.totalPixels += nr.pixels;
-        out.totalTexelsFetched += nr.texelsFetched;
-        pixel_counts.push_back(nr.pixels);
-        out.nodes.push_back(nr);
-    }
+    out.renderTime = frame.frameTime;
+    out.nodes = frame.nodes;
+    out.totalPixels = frame.totalPixels;
+    out.totalTexelsFetched = frame.totalTexelsFetched;
+    out.texelToFragmentRatio = frame.texelToFragmentRatio;
+    out.pixelImbalancePercent = frame.pixelImbalancePercent;
 
     // Pipelined binary-tree composition after the last node.
-    if (cfg.compositePixelsPerCycle > 0.0 && procs > 1) {
+    const uint32_t procs = config.node.numProcs;
+    if (config.compositePixelsPerCycle > 0.0 && procs > 1) {
         double stages = std::ceil(std::log2(double(procs)));
         out.compositionCycles = Tick(
             std::ceil(stages * double(scene.screenArea()) /
-                      cfg.compositePixelsPerCycle));
+                      config.compositePixelsPerCycle));
     }
     out.frameTime = out.renderTime + out.compositionCycles;
-
-    out.texelToFragmentRatio =
-        out.totalPixels ? double(out.totalTexelsFetched) /
-                              double(out.totalPixels)
-                        : 0.0;
-    if (!pixel_counts.empty()) {
-        uint64_t max = 0, sum = 0;
-        for (uint64_t p : pixel_counts) {
-            max = std::max(max, p);
-            sum += p;
-        }
-        double mean = double(sum) / double(pixel_counts.size());
-        out.pixelImbalancePercent =
-            mean > 0.0 ? (double(max) - mean) / mean * 100.0 : 0.0;
-    }
     return out;
 }
 
+} // namespace
+
+// texlint: phase(serial) builds and runs a whole machine
 SortLastResult
 runSortLastFrame(const Scene &scene, const SortLastConfig &config)
 {
-    SortLastMachine machine(scene, config);
-    return machine.run();
+    SequenceMachine machine(scene, config);
+    return sortLastResult(machine.runFrame(scene), scene, config);
 }
 
 } // namespace texdist

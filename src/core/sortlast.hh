@@ -29,13 +29,15 @@
  *
  * The node pipeline (setup engine, scan, cache, bus, prefetch
  * queue) is the sort-middle TextureNode, reused unchanged; only the
- * work distribution and the composition model differ.
+ * work distribution and the composition model differ. The machine
+ * is SequenceMachine's sort-last form: the frame engine's phase 0
+ * deals whole triangles by this triangle-to-node owner map and
+ * phase 1 has nothing to couple.
  */
 
 #ifndef TEXDIST_CORE_SORTLAST_HH
 #define TEXDIST_CORE_SORTLAST_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/machine.hh"
@@ -89,30 +91,7 @@ struct SortLastResult
     double pixelImbalancePercent = 0.0;
 };
 
-/**
- * One sort-last machine bound to one scene; single-shot like
- * ParallelMachine.
- */
-class SortLastMachine
-{
-  public:
-    SortLastMachine(const Scene &scene, const SortLastConfig &config);
-
-    SortLastResult run();
-
-    /** Per-node access for the oracle's coverage sinks. */
-    TextureNode &node(uint32_t i) { return *nodes[i]; }
-    uint32_t numNodes() const { return uint32_t(nodes.size()); }
-
-  private:
-    const Scene &scene;
-    SortLastConfig cfg;
-    EventQueue eq;
-    std::vector<std::unique_ptr<TextureNode>> nodes;
-    bool ran = false;
-};
-
-/** Convenience wrapper. */
+/** Build a sort-last machine and run one frame of @p scene. */
 SortLastResult runSortLastFrame(const Scene &scene,
                                 const SortLastConfig &config);
 

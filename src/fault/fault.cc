@@ -179,10 +179,16 @@ FaultPlan::add(const std::string &spec)
 std::vector<FaultSpec>
 FaultPlan::resolve(uint32_t num_procs) const
 {
-    // One RNG for the whole plan: the victim of fault i depends on
-    // the seed and on i only, never on wall-clock or address-space
-    // accidents, so identical plans replay identically.
-    Rng rng(seed ^ 0xfa017f5eedULL);
+    Rng rng(seed);
+    return resolve(num_procs, rng);
+}
+
+std::vector<FaultSpec>
+FaultPlan::resolve(uint32_t num_procs, Rng &rng) const
+{
+    // Victims depend on the seed and on the draw order only, never
+    // on wall-clock or address-space accidents, so identical plans
+    // replay identically.
     std::vector<FaultSpec> out;
     out.reserve(faults.size());
     for (const FaultSpec &spec : faults) {

@@ -39,6 +39,8 @@
 namespace texdist
 {
 
+class Rng;
+
 /** Victim value meaning "pick a node from the plan's seed". */
 constexpr uint32_t faultRandomVictim = 0xffffffffu;
 
@@ -105,9 +107,14 @@ struct FaultPlan
 
     /**
      * The plan with every `rand` victim resolved to a concrete node
-     * index derived from the seed. Fatal when an explicit victim is
-     * out of range for @p num_procs.
+     * index drawn from @p rng, in plan order. Throws the typed CLI
+     * ParseError when an explicit victim is out of range for
+     * @p num_procs. A run draws each frame's victims from one
+     * stream seeded with the plan's seed (and checkpointed).
      */
+    std::vector<FaultSpec> resolve(uint32_t num_procs, Rng &rng) const;
+
+    /** resolve() on a fresh stream: the victims of a run's first frame. */
     std::vector<FaultSpec> resolve(uint32_t num_procs) const;
 
     /** One-line rendering for logs and stats headers. */

@@ -17,8 +17,6 @@
  *    accesses equal fragments × texelsPerFragment, external texels
  *    equal misses × fill size, and the bus moved exactly the texels
  *    the caches requested (per-level for two-level hierarchies);
- *  - queue occupancy conservation: triangle FIFOs drained at frame
- *    end and never exceeded their bound;
  *  - cache-structural sanity: distinct tags per set, LRU stamps
  *    consistent with the access clock, and L1 ⊆ L2 inclusion when
  *    the configuration promises it;
@@ -41,10 +39,8 @@
 #include <vector>
 
 #include "core/coverage.hh"
-#include "core/machine.hh"
 #include "core/options.hh"
 #include "core/sequence.hh"
-#include "core/sortlast.hh"
 #include "oracle/shadow.hh"
 #include "scene/scene.hh"
 
@@ -74,8 +70,6 @@ class OracleEngine
      * differential decorator. Call once, before the first frame.
      */
     void attach(SequenceMachine &machine);
-    void attach(ParallelMachine &machine);
-    void attach(SortLastMachine &machine);
 
     OracleMode mode() const { return _mode; }
 

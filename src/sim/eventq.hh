@@ -6,13 +6,19 @@
  * Events are scheduled at integer ticks (cycles of the texture
  * mapping engines). Events scheduled for the same tick are processed
  * in scheduling order, which makes simulations fully deterministic.
+ *
+ * The machine does not use it: every frame runs on the
+ * two-phase frame engine (core/frame_engine.hh), which reproduces
+ * this (tick, scheduling order) semantics with direct clock
+ * arithmetic. The queue stays as a stand-alone kernel, and this
+ * header as the home of Tick.
  */
 
 #ifndef TEXDIST_SIM_EVENTQ_HH
 #define TEXDIST_SIM_EVENTQ_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
@@ -54,23 +60,6 @@ class Event
     Tick _when = 0;
     uint64_t _stamp = 0; ///< matches the queue entry; detects stale
     bool _scheduled = false;
-};
-
-/** An Event that runs an arbitrary callable. */
-class LambdaEvent : public Event
-{
-  public:
-    explicit LambdaEvent(std::function<void()> callable,
-                         const char *what = "lambda event")
-        : fn(std::move(callable)), desc(what)
-    {}
-
-    void process() override { fn(); }
-    const char *description() const override { return desc; }
-
-  private:
-    std::function<void()> fn;
-    const char *desc;
 };
 
 /**
@@ -132,18 +121,6 @@ class EventQueue
     uint64_t eventsProcessed() const { return numProcessed; }
 
     /**
-     * Record one unit of forward progress (a triangle dispatched, a
-     * triangle's fragments retired). A watchdog that samples
-     * progressCount() can distinguish a livelocked simulation —
-     * events firing, or none pending, with this counter frozen —
-     * from one that is merely slow.
-     */
-    void noteProgress() { ++_progress; }
-
-    /** Progress units recorded since construction. */
-    uint64_t progressCount() const { return _progress; }
-
-    /**
      * Restore the clock of a checkpointed simulation: jump an idle
      * queue (nothing pending, nothing processed yet) forward to
      * @p when, so restored components whose timestamps are absolute
@@ -178,7 +155,6 @@ class EventQueue
     Tick _curTick = 0;
     uint64_t nextStamp = 1;
     uint64_t numProcessed = 0;
-    uint64_t _progress = 0;
     size_t numPending = 0;
 };
 

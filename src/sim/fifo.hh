@@ -100,11 +100,11 @@ class BoundedFifo
 
     /**
      * Fold an occupancy level observed *outside* the FIFO into the
-     * high-water mark. The two-phase frame engine routes triangle
-     * streams around the FIFO object (push and pop ticks are
-     * computed, not enacted) but still models the occupancy the
-     * event-driven machine would have seen; this keeps the statistic
-     * and its checkpoint representation in one place.
+     * high-water mark. The frame engine routes triangle streams
+     * around the FIFO object (push and pop ticks are computed, not
+     * enacted) but still models the occupancy a queue would have
+     * seen; this keeps the statistic and its checkpoint
+     * representation in one place.
      */
     void
     noteOccupancy(size_t occupancy)

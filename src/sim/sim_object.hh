@@ -1,7 +1,7 @@
 /**
  * @file
- * Base class for named simulation components (nodes, buses, feeders)
- * that live on an event queue and expose statistics.
+ * Base class for named simulation components (the texture nodes)
+ * that expose statistics.
  */
 
 #ifndef TEXDIST_SIM_SIM_OBJECT_HH
@@ -9,22 +9,20 @@
 
 #include <string>
 
-#include "sim/eventq.hh"
 #include "sim/stats.hh"
 
 namespace texdist
 {
 
 /**
- * A named component attached to an event queue. Subclasses register
- * their statistics with the embedded StatGroup and schedule events on
- * the shared queue.
+ * A named component. Subclasses register their statistics with the
+ * embedded StatGroup.
  */
 class SimObject
 {
   public:
-    SimObject(std::string name, EventQueue &queue)
-        : _stats(name), _name(std::move(name)), eq(queue)
+    explicit SimObject(std::string name)
+        : _stats(name), _name(std::move(name))
     {}
 
     virtual ~SimObject() = default;
@@ -33,8 +31,6 @@ class SimObject
     SimObject &operator=(const SimObject &) = delete;
 
     const std::string &name() const { return _name; }
-    EventQueue &eventq() { return eq; }
-    Tick curTick() const { return eq.curTick(); }
 
     /** Statistics registered by this object. */
     const StatGroup &stats() const { return _stats; }
@@ -47,7 +43,6 @@ class SimObject
 
   private:
     std::string _name;
-    EventQueue &eq;
 };
 
 } // namespace texdist

@@ -37,6 +37,22 @@ Histogram::add(double sample)
         ++buckets[idx];
 }
 
+void
+Histogram::merge(const Histogram &other)
+{
+    if (other.bucketWidth != bucketWidth ||
+        other.buckets.size() != buckets.size())
+        texdist_panic("merging histograms with different buckets");
+    for (size_t i = 0; i < buckets.size(); ++i)
+        buckets[i] += other.buckets[i];
+    overflow += other.overflow;
+    n += other.n;
+    total += other.total;
+    totalSq += other.totalSq;
+    lo = std::min(lo, other.lo);
+    hi = std::max(hi, other.hi);
+}
+
 double
 Histogram::stddev() const
 {

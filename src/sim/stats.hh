@@ -55,6 +55,13 @@ class Histogram
 
     void add(double sample);
 
+    /**
+     * Fold in every sample of @p other, which must have the same
+     * bucket layout. For integer samples (sums stay exact) the
+     * result equals adding the samples in any order.
+     */
+    void merge(const Histogram &other);
+
     uint64_t count() const { return n; }
     double sum() const { return total; }
     double mean() const { return n ? total / double(n) : 0.0; }

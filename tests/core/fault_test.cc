@@ -6,7 +6,7 @@
 
 #include "core/error.hh"
 #include "core/experiments.hh"
-#include "core/machine.hh"
+#include "core/sequence.hh"
 #include "oracle/oracle.hh"
 #include "scene/builder.hh"
 
@@ -157,6 +157,42 @@ TEST(FaultPlanError, VictimOutOfRangeFatal)
                    {"out of range"});
 }
 
+TEST(FaultPlanError, MachineRejectsVictimOutOfRange)
+{
+    // An explicit victim beyond the machine is the typed CLI error in
+    // every mode, raised when a frame arms the plan.
+    Scene scene = quadScene(64, 0, 0, 40, 40);
+    MachineConfig cfg = perfectConfig(4);
+    cfg.faults.add("slow-node:4,at=0");
+    expectCliError([&] { return runFrame(scene, cfg); },
+                   {"out of range"});
+    SequenceMachine machine(scene, cfg);
+    expectCliError([&] { return machine.runFrame(scene); },
+                   {"out of range"});
+}
+
+TEST(FaultPlan, RandVictimsMatchAcrossModes)
+{
+    // Single frames draw `rand` victims from the same (checkpointed)
+    // stream as sequences: frame 0 of either kills the same node,
+    // the first draw of the plan's seed.
+    Scene scene = busyScene();
+    MachineConfig cfg = perfectConfig(16);
+    cfg.tileParam = 16;
+    cfg.faults.seed = 7;
+    cfg.faults.add("kill-node:rand,at=300");
+    const uint32_t victim = cfg.faults.resolve(16).front().victim;
+    for (FrameEntry entry :
+         {FrameEntry::SingleFrame,
+          FrameEntry::Sequence}) {
+        SequenceMachine machine(scene, cfg, 1, entry);
+        FrameResult r = machine.runFrame(scene);
+        EXPECT_EQ(r.faultStats.nodesKilled, 1u);
+        for (uint32_t p = 0; p < 16; ++p)
+            EXPECT_EQ(machine.node(p).isDead(), p == victim) << p;
+    }
+}
+
 // --- slow-node -----------------------------------------------------
 
 TEST(Fault, SlowNodeMultipliesScanTime)
@@ -191,7 +227,7 @@ TEST(Fault, SlowNodeRecoveryRestoresSpeed)
     EXPECT_EQ(runFrame(scene, cfg).frameTime, r.frameTime);
 }
 
-TEST(Fault, SlowNodeSkewsParallelMachineNotPixels)
+TEST(Fault, SlowNodeSkewsFrameTimeNotPixels)
 {
     // One straggler in a 16-proc machine stretches the frame but the
     // work division (pixel counts) is untouched.
@@ -224,8 +260,9 @@ TEST(Fault, BusStallDelaysTransfers)
     EXPECT_EQ(base.frameTime, 1600u);
 
     cfg.faults.add("bus-stall:0,at=0,for=2000");
-    ParallelMachine machine(scene, cfg);
-    FrameResult r = machine.run();
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
+    FrameResult r = machine.runFrame(scene);
     EXPECT_GT(r.frameTime, base.frameTime);
     EXPECT_EQ(r.totalPixels, base.totalPixels);
     ASSERT_NE(machine.node(0).bus(), nullptr);
@@ -441,11 +478,12 @@ FrameResult
 runFrameWithOracle(const Scene &scene, const MachineConfig &cfg,
                    OracleMode mode, uint64_t *digest_out = nullptr)
 {
-    ParallelMachine machine(scene, cfg);
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
     OracleEngine oracle(cfg, mode);
     oracle.attach(machine);
     oracle.beginFrame(0, scene);
-    FrameResult r = machine.run();
+    FrameResult r = machine.runFrame(scene);
     oracle.endFrame(0, scene, &machine.distribution(), &r,
                     r.frameTime);
     if (digest_out)
@@ -493,12 +531,13 @@ TEST(FaultOracle, PlantedBugIsCaughtOnDegradedFrame)
     cfg.triangleBufferSize = 4;
     cfg.faults.add("kill-node:5,at=500");
 
-    ParallelMachine machine(scene, cfg);
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
     machine.node(0).debugPlantCoverageShift();
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(machine);
     oracle.beginFrame(0, scene);
-    FrameResult r = machine.run();
+    FrameResult r = machine.runFrame(scene);
     EXPECT_TRUE(r.degraded);
     try {
         oracle.endFrame(0, scene, &machine.distribution(), &r,

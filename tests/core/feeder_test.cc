@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiments.hh"
-#include "core/machine.hh"
+#include "core/sequence.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -37,6 +37,16 @@ phasedScene(int quads)
     for (int i = 0; i < quads; ++i)
         b.addQuad(0, 34, 64, 64, tex, 1.0); // node 1 only
     return b.take();
+}
+
+/** A single-frame machine that has run @p scene once. */
+std::unique_ptr<SequenceMachine>
+ranMachine(const Scene &scene, const MachineConfig &cfg)
+{
+    auto machine = std::make_unique<SequenceMachine>(
+        scene, cfg, 1, FrameEntry::SingleFrame);
+    machine->runFrame(scene);
+    return machine;
 }
 
 MachineConfig
@@ -99,12 +109,12 @@ TEST(Feeder, BufferSizeMonotonicity)
 TEST(Feeder, BlockedCyclesReported)
 {
     Scene scene = alternatingScene(8);
-    ParallelMachine machine(scene, sliConfig(1));
-    machine.run();
-    EXPECT_GT(machine.feeder().blockedCycles(), 0u);
-    ParallelMachine machine2(scene, sliConfig(10000));
-    machine2.run();
-    EXPECT_EQ(machine2.feeder().blockedCycles(), 0u);
+    EXPECT_GT(ranMachine(scene, sliConfig(1))->feeder()
+                  .feederBlockedCycles,
+              0u);
+    EXPECT_EQ(ranMachine(scene, sliConfig(10000))->feeder()
+                  .feederBlockedCycles,
+              0u);
 }
 
 TEST(Feeder, CullsOffscreenAndDegenerate)
@@ -124,10 +134,11 @@ TEST(Feeder, CullsOffscreenAndDegenerate)
     MachineConfig cfg;
     cfg.cacheKind = CacheKind::Perfect;
     cfg.infiniteBus = true;
-    ParallelMachine machine(scene, cfg);
-    FrameResult r = machine.run();
-    EXPECT_EQ(machine.feeder().degenerateTriangles(), 1u);
-    EXPECT_EQ(machine.feeder().culledTriangles(), 2u);
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
+    FrameResult r = machine.runFrame(scene);
+    EXPECT_EQ(machine.feeder().degenerateTriangles, 1u);
+    EXPECT_EQ(machine.feeder().culledTriangles, 2u);
     EXPECT_EQ(r.trianglesDispatched, 2u);
     EXPECT_EQ(r.totalPixels, 100u);
 }
@@ -158,8 +169,7 @@ TEST(Feeder, StrictOrderPreservedPerNode)
     // Node FIFO max occupancy never exceeds capacity, and with a big
     // buffer the busy node's FIFO fills deep (feeder runs ahead).
     Scene scene = alternatingScene(10);
-    ParallelMachine machine(scene, sliConfig(10000));
-    FrameResult r = machine.run();
+    FrameResult r = runFrame(scene, sliConfig(10000));
     EXPECT_GT(r.fifoMaxOccupancy, 2u);
     EXPECT_LE(r.fifoMaxOccupancy, 10000u);
 }
@@ -251,9 +261,8 @@ TEST(Feeder, IdleCyclesWhenStarved)
         b.addQuad(0, 0, 64, 30, tex, 1.0); // node 0
     b.addQuad(0, 34, 64, 64, tex, 1.0);    // node 1 last
     Scene scene = b.take();
-    ParallelMachine machine(scene, sliConfig(1));
-    machine.run();
-    EXPECT_GT(machine.node(1).idleCycles(), 1000u);
+    EXPECT_GT(ranMachine(scene, sliConfig(1))->node(1).idleCycles(),
+              1000u);
 }
 
 } // namespace

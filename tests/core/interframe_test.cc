@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/two_level.hh"
 #include "core/interframe.hh"
 #include "scene/builder.hh"
 #include "scene/stats.hh"
@@ -21,14 +20,16 @@ wallScene()
     return b.take();
 }
 
-std::function<std::unique_ptr<TextureCache>()>
-twoLevelFactory()
+/** @p procs nodes, block-16 tiles, 16 KB L1 + 1 MB L2 each. */
+MachineConfig
+twoLevelConfig(uint32_t procs)
 {
-    return [] {
-        return std::make_unique<TwoLevelCache>(
-            CacheGeometry{16 * 1024, 4, 64},
-            CacheGeometry{1024 * 1024, 8, 64});
-    };
+    MachineConfig cfg;
+    cfg.numProcs = procs;
+    cfg.tileParam = 16;
+    cfg.hasL2 = true;
+    cfg.l2Geom = CacheGeometry{1024 * 1024, 8, 64};
+    return cfg;
 }
 
 TEST(TranslateScene, ShiftsGeometryOnly)
@@ -71,9 +72,7 @@ TEST(InterFrame, ZeroPanIsFree)
     // at the external interface.
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 0.0f, 0.0f);
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 4, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
+    InterFrameResult r = measureInterFrame(f1, f2, twoLevelConfig(4));
     EXPECT_GT(r.frame1Ratio, 0.0);
     EXPECT_DOUBLE_EQ(r.frame2Ratio, 0.0);
     EXPECT_DOUBLE_EQ(r.reuseFactor(), 0.0);
@@ -86,9 +85,7 @@ TEST(InterFrame, SingleProcessorImmuneToPan)
     // time; wrap-around textures mostly re-use).
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 48.0f, 0.0f);
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 1, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
+    InterFrameResult r = measureInterFrame(f1, f2, twoLevelConfig(1));
     EXPECT_LT(r.reuseFactor(), 0.35);
 }
 
@@ -98,14 +95,12 @@ TEST(InterFrame, MultiprocessorLosesReuseWithLargePan)
     // than the tile moves pixels to nodes that never cached their
     // texels.
     Scene f1 = wallScene();
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 16, 16);
-
     Scene small_pan = translateScene(f1, 4.0f, 0.0f);
     Scene big_pan = translateScene(f1, 48.0f, 0.0f);
     InterFrameResult small =
-        interFrameTraffic(f1, small_pan, *dist, twoLevelFactory());
+        measureInterFrame(f1, small_pan, twoLevelConfig(16));
     InterFrameResult big =
-        interFrameTraffic(f1, big_pan, *dist, twoLevelFactory());
+        measureInterFrame(f1, big_pan, twoLevelConfig(16));
     EXPECT_GT(big.frame2Ratio, small.frame2Ratio);
 }
 
@@ -113,9 +108,7 @@ TEST(InterFrame, FragmentsCountedPerFrame)
 {
     Scene f1 = wallScene();
     Scene f2 = translateScene(f1, 64.0f, 0.0f); // half scrolls out
-    auto dist = Distribution::make(DistKind::Block, 128, 128, 4, 16);
-    InterFrameResult r =
-        interFrameTraffic(f1, f2, *dist, twoLevelFactory());
+    InterFrameResult r = measureInterFrame(f1, f2, twoLevelConfig(4));
     EXPECT_EQ(r.frame1Fragments, 128u * 128u);
     EXPECT_EQ(r.frame2Fragments, 64u * 128u);
 }

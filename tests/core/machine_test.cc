@@ -278,14 +278,6 @@ TEST(Machine, PrefetchDepthAbsorbsBursts)
     EXPECT_LE(deep, shallow);
 }
 
-TEST(Machine, RunTwicePanics)
-{
-    Scene scene = quadScene(64, 0, 0, 10, 10);
-    ParallelMachine machine(scene, perfectConfig());
-    machine.run();
-    EXPECT_DEATH(machine.run(), "twice");
-}
-
 TEST(Machine, FrameResultPrintMentionsFields)
 {
     Scene scene = quadScene(64, 0, 0, 20, 20);

@@ -4,6 +4,7 @@
 
 #include "core/experiments.hh"
 #include "core/mapped.hh"
+#include "core/sequence.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -145,13 +146,15 @@ TEST(OracleAssignment, RunsOnFullMachine)
     auto oracle = std::make_unique<MappedBlockDistribution>(
         64u, 64u, 4u, 16u,
         balanceTilesGreedy(tileWork(scene, 16), 4));
-    ParallelMachine machine(scene, cfg, std::move(oracle));
-    FrameResult r = machine.run();
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame,
+                            std::move(oracle));
+    FrameResult r = machine.runFrame(scene);
     EXPECT_EQ(r.totalPixels, 64u * 64u);
     EXPECT_NEAR(r.pixelImbalancePercent, 0.0, 1e-9);
 }
 
-TEST(ParallelMachineDeath, MismatchedDistributionFatal)
+TEST(SequenceMachineDeath, MismatchedDistributionFatal)
 {
     SceneBuilder b("mm", 64, 64, 3);
     Scene scene = b.take();
@@ -159,7 +162,9 @@ TEST(ParallelMachineDeath, MismatchedDistributionFatal)
     cfg.numProcs = 4;
     auto wrong = Distribution::make(DistKind::Block, 32, 32, 4, 8);
     EXPECT_EXIT(
-        ParallelMachine(scene, cfg, std::move(wrong)),
+        SequenceMachine(scene, cfg, 1,
+                        FrameEntry::SingleFrame,
+                        std::move(wrong)),
         ::testing::ExitedWithCode(1), "does not match");
 }
 

@@ -131,27 +131,27 @@ TEST(ParallelEngine, JobsInvariantUnderFaultInjection)
     expectJobsInvariant(wallScene(), cfg, 3);
 }
 
-TEST(ParallelEngine, BlockedFrameMatchesEventDrivenMachine)
+TEST(ParallelEngine, JobsInvariantUnderCouplingFaults)
 {
-    // Cross-engine anchor for the back-pressure path: with no
-    // dispatch-rate modelling, the two-phase schedule under blocking
-    // must reproduce the event-driven machine's timing exactly.
-    Scene scene = wallScene();
-    MachineConfig cfg = blockConfig(4);
+    // Freeze, kill and the watchdog act in the serial phase but
+    // advance lanes on the feeder's behalf; the job count must not
+    // show. Single frames use their own tie rule, so check both.
+    MachineConfig cfg = blockConfig(8);
     cfg.triangleBufferSize = 4;
+    cfg.faults.add("fifo-freeze:2,at=300;kill-node:rand,at=1500");
+    cfg.faults.seed = 3;
+    cfg.watchdogTicks = 200;
+    cfg.watchdogPolicy = WatchdogPolicy::Degrade;
+    expectJobsInvariant(wallScene(), cfg, 3);
 
-    FrameResult event_driven = runFrame(scene, cfg);
-    std::vector<Scene> frames;
-    frames.push_back(translateScene(scene, 0.0f, 0.0f));
-    SequenceResult seq = runFrameSequence(frames, cfg, 4);
-    ASSERT_EQ(seq.frames.size(), 1u);
-    EXPECT_EQ(seq.frames[0].frameTime, event_driven.frameTime);
-    EXPECT_EQ(seq.frames[0].totalPixels, event_driven.totalPixels);
-    EXPECT_EQ(seq.frames[0].totalTexelsFetched,
-              event_driven.totalTexelsFetched);
-    // The buffer must actually have filled, or this config is not
-    // exercising the back-pressure path at all.
-    EXPECT_EQ(seq.frames[0].fifoMaxOccupancy, 4u);
+    Scene scene = wallScene();
+    auto single = [&](uint32_t jobs) {
+        SequenceMachine machine(scene, cfg, jobs,
+                                FrameEntry::SingleFrame);
+        return digestFrame(machine.runFrame(scene));
+    };
+    EXPECT_EQ(single(4), single(1));
+    EXPECT_EQ(single(8), single(1));
 }
 
 TEST(ParallelEngine, CheckpointBytesAreJobsInvariant)

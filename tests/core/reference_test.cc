@@ -1,15 +1,15 @@
 /** @file
- * Cross-validation of the event-driven machine against an
- * independent straight-line reference simulator.
+ * Cross-validation of the machine against an independent
+ * straight-line reference simulator.
  *
  * With ideal buffers and an ideal geometry stage the nodes are fully
  * decoupled: each node serially processes its share of the triangles
  * with its private cache, bus and prefetch queue. That can be
  * computed with plain loops and no event queue. The reference below
  * reimplements the timing equations of docs/MODEL.md from scratch;
- * any divergence from ParallelMachine (event ordering bug, FIFO
- * accounting bug, bus arithmetic bug) shows up as a frame-time or
- * traffic mismatch.
+ * any divergence from the machine (scheduling bug, FIFO accounting
+ * bug, bus arithmetic bug) shows up as a frame-time or traffic
+ * mismatch.
  */
 
 #include <memory>
@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/distribution.hh"
 #include "core/machine.hh"
+#include "mem/bus.hh"
 #include "raster/raster.hh"
 #include "scene/builder.hh"
 #include "texture/sampler.hh"

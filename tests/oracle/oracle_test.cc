@@ -7,7 +7,7 @@
 
 #include "cache/cache.hh"
 #include "core/error.hh"
-#include "core/machine.hh"
+#include "core/sequence.hh"
 #include "core/options.hh"
 #include "geom/rng.hh"
 #include "oracle/oracle.hh"
@@ -88,11 +88,12 @@ TEST(OracleEngine, CleanFrameRaisesNothing)
 {
     Scene scene = testScene();
     MachineConfig cfg = testConfig();
-    ParallelMachine machine(scene, cfg);
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(machine);
     oracle.beginFrame(0, scene);
-    FrameResult r = machine.run();
+    FrameResult r = machine.runFrame(scene);
     EXPECT_NO_THROW(oracle.endFrame(0, scene,
                                     &machine.distribution(), &r,
                                     r.frameTime));
@@ -107,14 +108,14 @@ TEST(OracleEngine, TimingAndResultsIdenticalWithOracleAttached)
     Scene scene = testScene();
     MachineConfig cfg = testConfig();
 
-    ParallelMachine bare(scene, cfg);
-    FrameResult a = bare.run();
+    FrameResult a = runFrame(scene, cfg);
 
-    ParallelMachine watched(scene, cfg);
+    SequenceMachine watched(scene, cfg, 1,
+                            FrameEntry::SingleFrame);
     OracleEngine oracle(cfg, OracleMode::Full);
     oracle.attach(watched);
     oracle.beginFrame(0, scene);
-    FrameResult b = watched.run();
+    FrameResult b = watched.runFrame(scene);
     oracle.endFrame(0, scene, &watched.distribution(), &b,
                     b.frameTime);
 

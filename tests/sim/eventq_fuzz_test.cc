@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "geom/rng.hh"
-#include "sim/eventq.hh"
+#include "callback_event.hh"
 
 namespace texdist
 {
@@ -81,9 +81,9 @@ TEST_P(FuzzSuite, MatchesMultimapReference)
     EventQueue eq;
     RefQueue ref;
     std::vector<int> fired;
-    std::vector<std::unique_ptr<LambdaEvent>> events;
+    std::vector<std::unique_ptr<CallbackEvent>> events;
     for (int i = 0; i < numEvents; ++i)
-        events.push_back(std::make_unique<LambdaEvent>(
+        events.push_back(std::make_unique<CallbackEvent>(
             [&fired, i] { fired.push_back(i); }));
 
     for (int op = 0; op < 3000; ++op) {

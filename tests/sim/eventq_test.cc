@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/eventq.hh"
+#include "callback_event.hh"
 
 namespace texdist
 {
@@ -24,9 +24,9 @@ TEST(EventQueue, ProcessesInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    LambdaEvent a([&] { order.push_back(1); });
-    LambdaEvent b([&] { order.push_back(2); });
-    LambdaEvent c([&] { order.push_back(3); });
+    CallbackEvent a([&] { order.push_back(1); });
+    CallbackEvent b([&] { order.push_back(2); });
+    CallbackEvent c([&] { order.push_back(3); });
     eq.schedule(&b, 20);
     eq.schedule(&c, 30);
     eq.schedule(&a, 10);
@@ -39,9 +39,9 @@ TEST(EventQueue, SameTickFifoOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    LambdaEvent a([&] { order.push_back(1); });
-    LambdaEvent b([&] { order.push_back(2); });
-    LambdaEvent c([&] { order.push_back(3); });
+    CallbackEvent a([&] { order.push_back(1); });
+    CallbackEvent b([&] { order.push_back(2); });
+    CallbackEvent c([&] { order.push_back(3); });
     eq.schedule(&a, 5);
     eq.schedule(&b, 5);
     eq.schedule(&c, 5);
@@ -53,7 +53,7 @@ TEST(EventQueue, CurTickAdvancesDuringProcessing)
 {
     EventQueue eq;
     Tick seen = 0;
-    LambdaEvent e([&] { seen = eq.curTick(); });
+    CallbackEvent e([&] { seen = eq.curTick(); });
     eq.schedule(&e, 42);
     eq.run();
     EXPECT_EQ(seen, 42u);
@@ -63,8 +63,8 @@ TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue eq;
     int count = 0;
-    LambdaEvent *ping = nullptr;
-    LambdaEvent event([&] {
+    CallbackEvent *ping = nullptr;
+    CallbackEvent event([&] {
         if (++count < 5)
             eq.schedule(ping, eq.curTick() + 10);
     });
@@ -79,7 +79,7 @@ TEST(EventQueue, DescheduleRemovesEvent)
 {
     EventQueue eq;
     bool ran = false;
-    LambdaEvent e([&] { ran = true; });
+    CallbackEvent e([&] { ran = true; });
     eq.schedule(&e, 10);
     EXPECT_TRUE(e.scheduled());
     eq.deschedule(&e);
@@ -93,7 +93,7 @@ TEST(EventQueue, RescheduleMovesEvent)
 {
     EventQueue eq;
     Tick when = 0;
-    LambdaEvent e([&] { when = eq.curTick(); });
+    CallbackEvent e([&] { when = eq.curTick(); });
     eq.schedule(&e, 10);
     eq.reschedule(&e, 25);
     eq.run();
@@ -105,7 +105,7 @@ TEST(EventQueue, RescheduleUnscheduledActsAsSchedule)
 {
     EventQueue eq;
     bool ran = false;
-    LambdaEvent e([&] { ran = true; });
+    CallbackEvent e([&] { ran = true; });
     eq.reschedule(&e, 7);
     eq.run();
     EXPECT_TRUE(ran);
@@ -115,8 +115,8 @@ TEST(EventQueue, RunUntilStopsAtBoundary)
 {
     EventQueue eq;
     int count = 0;
-    LambdaEvent a([&] { ++count; });
-    LambdaEvent b([&] { ++count; });
+    CallbackEvent a([&] { ++count; });
+    CallbackEvent b([&] { ++count; });
     eq.schedule(&a, 10);
     eq.schedule(&b, 100);
     eq.runUntil(50);
@@ -131,7 +131,7 @@ TEST(EventQueue, RunUntilInclusive)
 {
     EventQueue eq;
     int count = 0;
-    LambdaEvent a([&] { ++count; });
+    CallbackEvent a([&] { ++count; });
     eq.schedule(&a, 50);
     eq.runUntil(50);
     EXPECT_EQ(count, 1);
@@ -141,7 +141,7 @@ TEST(EventQueue, EventReusableAfterProcessing)
 {
     EventQueue eq;
     int count = 0;
-    LambdaEvent e([&] { ++count; });
+    CallbackEvent e([&] { ++count; });
     eq.schedule(&e, 1);
     eq.run();
     EXPECT_FALSE(e.scheduled());
@@ -153,8 +153,8 @@ TEST(EventQueue, EventReusableAfterProcessing)
 TEST(EventQueue, SizeTracksPending)
 {
     EventQueue eq;
-    LambdaEvent a([] {});
-    LambdaEvent b([] {});
+    CallbackEvent a([] {});
+    CallbackEvent b([] {});
     eq.schedule(&a, 1);
     eq.schedule(&b, 2);
     EXPECT_EQ(eq.size(), 2u);
@@ -171,11 +171,11 @@ TEST(EventQueue, SameTickOrderSurvivesInterleavedArrival)
     // foundation of deterministic replay.
     EventQueue eq;
     std::vector<int> order;
-    LambdaEvent a([&] { order.push_back(1); });
-    LambdaEvent b([&] { order.push_back(2); });
-    LambdaEvent c([&] { order.push_back(3); });
-    LambdaEvent early([&] { order.push_back(0); });
-    LambdaEvent late([&] { order.push_back(4); });
+    CallbackEvent a([&] { order.push_back(1); });
+    CallbackEvent b([&] { order.push_back(2); });
+    CallbackEvent c([&] { order.push_back(3); });
+    CallbackEvent early([&] { order.push_back(0); });
+    CallbackEvent late([&] { order.push_back(4); });
     eq.schedule(&a, 50);
     eq.schedule(&late, 90);
     eq.schedule(&b, 50);
@@ -191,12 +191,12 @@ TEST(EventQueue, EventScheduledAtCurrentTickRunsAfterPending)
     // must run after everything already queued for that tick.
     EventQueue eq;
     std::vector<int> order;
-    LambdaEvent tail([&] { order.push_back(3); });
-    LambdaEvent head([&] {
+    CallbackEvent tail([&] { order.push_back(3); });
+    CallbackEvent head([&] {
         order.push_back(1);
         eq.schedule(&tail, eq.curTick());
     });
-    LambdaEvent mid([&] { order.push_back(2); });
+    CallbackEvent mid([&] { order.push_back(2); });
     eq.schedule(&head, 7);
     eq.schedule(&mid, 7);
     eq.run();
@@ -209,8 +209,8 @@ TEST(EventQueue, RescheduleMovesToBackOfSameTick)
     // events already waiting at the target tick.
     EventQueue eq;
     std::vector<int> order;
-    LambdaEvent a([&] { order.push_back(1); });
-    LambdaEvent b([&] { order.push_back(2); });
+    CallbackEvent a([&] { order.push_back(1); });
+    CallbackEvent b([&] { order.push_back(2); });
     eq.schedule(&a, 5);
     eq.schedule(&b, 5);
     eq.reschedule(&a, 5);
@@ -224,7 +224,7 @@ TEST(EventQueue, RestoreClockJumpsIdleQueueForward)
     eq.restoreClock(1234);
     EXPECT_EQ(eq.curTick(), 1234u);
     Tick seen = 0;
-    LambdaEvent e([&] { seen = eq.curTick(); });
+    CallbackEvent e([&] { seen = eq.curTick(); });
     eq.schedule(&e, 2000);
     eq.run();
     EXPECT_EQ(seen, 2000u);
@@ -233,7 +233,7 @@ TEST(EventQueue, RestoreClockJumpsIdleQueueForward)
 TEST(EventQueueDeath, RestoreClockWithPendingEventsPanics)
 {
     EventQueue eq;
-    LambdaEvent e([] {});
+    CallbackEvent e([] {});
     eq.schedule(&e, 10);
     EXPECT_DEATH(eq.restoreClock(100), "already in use");
     // The death assertion ran in a forked child; unschedule here so
@@ -244,7 +244,7 @@ TEST(EventQueueDeath, RestoreClockWithPendingEventsPanics)
 TEST(EventQueueDeath, RestoreClockAfterProcessingPanics)
 {
     EventQueue eq;
-    LambdaEvent e([] {});
+    CallbackEvent e([] {});
     eq.schedule(&e, 10);
     eq.run();
     EXPECT_DEATH(eq.restoreClock(100), "already in use");
@@ -261,10 +261,10 @@ TEST(EventQueue, StressInterleavedScheduleDeschedule)
 {
     EventQueue eq;
     constexpr int n = 200;
-    std::vector<std::unique_ptr<LambdaEvent>> events;
+    std::vector<std::unique_ptr<CallbackEvent>> events;
     std::vector<int> fired;
     for (int i = 0; i < n; ++i)
-        events.push_back(std::make_unique<LambdaEvent>(
+        events.push_back(std::make_unique<CallbackEvent>(
             [&fired, i] { fired.push_back(i); }));
     // Schedule all, deschedule every third.
     for (int i = 0; i < n; ++i)

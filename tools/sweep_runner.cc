@@ -787,15 +787,6 @@ parseInProcessConfig(const RunnerOptions &opts,
                       "restore, manifest, replay-verify and "
                       "stats-file need a dedicated process per "
                       "config; drop --threads to run this sweep");
-    const bool sequence = sim.frames > 1 || sim.panDx != 0.0 ||
-                          sim.panDy != 0.0;
-    if (sequence)
-        for (const FaultSpec &fault : sim.machine.faults.faults)
-            if (fault.kind != FaultKind::SlowNode &&
-                fault.kind != FaultKind::BusStall)
-                texdist_fatal("config '", cfg.name, "': fault kind ",
-                              to_string(fault.kind), " is not "
-                              "supported in multi-frame runs");
     return sim;
 }
 
@@ -815,60 +806,40 @@ runConfigInProcess(const RunnerOptions &opts, const SweepConfig &cfg,
     CsvWriter csv(opts.outDir + "/" + cfg.name + ".csv");
     frameCsvHeader(csv);
 
-    // Mirror the driver's dispatch: multi-frame runs use the
-    // persistent sequence machine, single-frame runs the event-driven
-    // machine (which also covers the kill/freeze fault kinds).
-    const bool sequence = sim.frames > 1 || sim.panDx != 0.0 ||
-                          sim.panDy != 0.0;
     int exit_code = exitOk;
     bool interrupted = false;
     try {
-        if (sequence) {
-            // The sweep's parallelism is config-level; each machine
-            // runs its frames serially unless the config asked for
-            // --jobs.
-            SequenceMachine machine(base, sim.machine,
-                                    sim.jobs > 0 ? sim.jobs : 1);
-            OracleEngine oracle(sim.machine, sim.oracle);
-            oracle.attach(machine);
-            for (uint32_t f = 0; f < sim.frames; ++f) {
-                Scene frame =
-                    f == 0 ? Scene()
-                           : translateScene(base,
-                                            float(sim.panDx * f),
-                                            float(sim.panDy * f));
-                const Scene &scene = f == 0 ? base : frame;
-                oracle.beginFrame(f, scene);
-                FrameResult r = machine.runFrame(scene);
-                oracle.endFrame(f, scene, &machine.distribution(),
-                                &r, machine.currentTime());
-                uint64_t digest = digestFrame(r);
-                frameCsvRow(csv, f, r, digest);
-                log << "frame " << f << ": " << r.frameTime
-                    << " cycles, " << r.totalPixels
-                    << " pixels, digest " << digestHex(digest)
-                    << "\n";
-                if (g_signal != 0) {
-                    interrupted = true;
-                    break;
-                }
-            }
-        } else {
-            ParallelMachine machine(base, sim.machine);
-            OracleEngine oracle(sim.machine, sim.oracle);
-            oracle.attach(machine);
-            oracle.beginFrame(0, base);
-            FrameResult r = machine.run();
-            oracle.endFrame(0, base, &machine.distribution(), &r,
-                            r.frameTime);
+        // The sweep's parallelism is config-level; each machine runs
+        // its frames serially unless the config asked for --jobs.
+        SequenceMachine machine(
+            base, sim.machine, sim.jobs > 0 ? sim.jobs : 1,
+            sim.singleFrame() ? FrameEntry::SingleFrame
+                              : FrameEntry::Sequence);
+        OracleEngine oracle(sim.machine, sim.oracle);
+        oracle.attach(machine);
+        for (uint32_t f = 0; f < sim.frames; ++f) {
+            Scene frame = f == 0 ? Scene()
+                                 : translateScene(base,
+                                                  float(sim.panDx * f),
+                                                  float(sim.panDy * f));
+            const Scene &scene = f == 0 ? base : frame;
+            oracle.beginFrame(f, scene);
+            FrameResult r = machine.runFrame(scene);
+            oracle.endFrame(f, scene, &machine.distribution(), &r,
+                            machine.currentTime());
             uint64_t digest = digestFrame(r);
-            frameCsvRow(csv, 0, r, digest);
-            log << "frame 0: " << r.frameTime << " cycles, "
+            frameCsvRow(csv, f, r, digest);
+            log << "frame " << f << ": " << r.frameTime << " cycles, "
                 << r.totalPixels << " pixels, digest "
                 << digestHex(digest) << "\n";
             if (r.failed) {
                 log << "frame failed: " << r.failureReason << "\n";
                 exit_code = 2; // texdist_sim's exitFrameFailed
+                break;
+            }
+            if (g_signal != 0) {
+                interrupted = true;
+                break;
             }
         }
     } catch (const OracleError &e) {

@@ -6,13 +6,16 @@
  * statistics — the texdist equivalent of invoking gem5 with a
  * config.
  *
- * Single-frame runs use the ParallelMachine (full fault-injection,
- * watchdog and graceful-degradation support). Multi-frame runs
- * (`--frames`, `--pan`) use the persistent SequenceMachine and gain
- * the robustness machinery: frame-granular checkpointing
+ * Every run is a SequenceMachine on the two-phase engine: a single
+ * frame is a one-frame sequence, so every mode has the same
+ * machinery — `--jobs`, `--stats-file`, every fault kind, the
+ * watchdog and graceful degradation, frame-granular checkpointing
  * (`--checkpoint-every`/`--restore`), run manifests with per-frame
  * state digests (`--manifest`), deterministic-replay verification
- * (`--replay-verify`) and invariant auditing (`--audit`). SIGINT and
+ * (`--replay-verify`) and invariant auditing (`--audit`). A classic
+ * single-frame run prints the full frame dump and the speedup over
+ * T(1); multi-frame runs (`--frames`, `--pan`) print a line per
+ * frame. A failed frame stops the run with exit 2. SIGINT and
  * SIGTERM flush partial results, write a final checkpoint and exit
  * with a distinct code so a supervisor can tell "interrupted" from
  * "failed".
@@ -97,10 +100,26 @@ writeCheckpoint(const SequenceMachine &machine,
            " written to ", path, " (", w.payloadSize(), " bytes)");
 }
 
-/** Multi-frame run on the persistent machine. */
-int
-runSequence(const SimOptions &opts, const Scene &base)
+/** Print a failed or degraded frame's fault outcome. */
+void
+reportFaults(const FrameResult &r)
 {
+    if (r.failed) {
+        std::cerr << "\n" << r.diagnostic;
+        std::cerr << "frame failed: " << r.failureReason << "\n";
+    } else if (r.degraded) {
+        std::cout << "\n(frame completed degraded: "
+                  << r.faultStats.nodesKilled
+                  << " node(s) lost, coverage preserved by "
+                     "redistribution)\n";
+    }
+}
+
+/** Run the frames on one persistent machine. */
+int
+runFrames(const SimOptions &opts, const Scene &base)
+{
+    const bool single = opts.singleFrame();
     uint32_t frames = opts.frames;
     double pan_dx = opts.panDx;
     double pan_dy = opts.panDy;
@@ -126,8 +145,9 @@ runSequence(const SimOptions &opts, const Scene &base)
         pan_dy = expect.panDy;
     }
 
-    SequenceMachine machine(base, opts.machine,
-                            opts.resolvedJobs());
+    SequenceMachine machine(base, opts.machine, opts.resolvedJobs(),
+                            single ? FrameEntry::SingleFrame
+                                   : FrameEntry::Sequence);
     std::vector<uint64_t> digests;
 
     if (!opts.restorePath.empty()) {
@@ -215,11 +235,28 @@ runSequence(const SimOptions &opts, const Scene &base)
         ++detailed_frames;
         detailed_cycles += r.frameTime;
 
-        std::cout << "frame " << f << ": " << r.frameTime
-                  << " cycles, " << r.totalPixels << " pixels, "
-                  << r.totalTexelsFetched << " texels (t/f "
-                  << r.texelToFragmentRatio << "), digest "
-                  << digestHex(digest) << "\n";
+        if (single) {
+            r.print(std::cout);
+            reportFaults(r);
+            if (opts.machine.numProcs > 1 && !r.failed && r.frameTime) {
+                Tick baseline = FrameLab(scene).baseline(opts.machine);
+                std::cout << "speedup:           "
+                          << double(baseline) / double(r.frameTime)
+                          << " (T1 = " << baseline << ")\n";
+            }
+        } else {
+            std::cout << "frame " << f << ": " << r.frameTime
+                      << " cycles, " << r.totalPixels << " pixels, "
+                      << r.totalTexelsFetched << " texels (t/f "
+                      << r.texelToFragmentRatio << "), digest "
+                      << digestHex(digest) << "\n";
+            if (r.failed || r.faultStats.nodesKilled > 0)
+                reportFaults(r);
+        }
+        if (r.failed) {
+            exit_code = exitFrameFailed;
+            break;
+        }
 
         if (opts.audit) {
             AuditReport report = auditFrame(
@@ -294,86 +331,21 @@ runSequence(const SimOptions &opts, const Scene &base)
                   << "\n";
     }
 
+    if (!opts.statsFile.empty()) {
+        std::ostringstream os;
+        os << "# texdist_sim statistics\n";
+        os << "# workload " << base.name << "\n";
+        os << "# machine " << opts.machine.describe() << "\n";
+        machine.dumpStats(os);
+        io::writeFileAtomic(opts.statsFile, os.str());
+        std::cout << "stats written to " << opts.statsFile << "\n";
+    }
+
     if (verifying && exit_code == exitOk) {
         size_t verified =
             std::min(size_t(frames), expect.digests.size());
         std::cout << "replay verified: " << verified - first
                   << " frame(s) match the manifest\n";
-    }
-    return exit_code;
-}
-
-/** The classic single-frame run. */
-int
-runSingle(const SimOptions &opts, const Scene &scene)
-{
-    FrameLab lab(scene);
-    Tick baseline = 0;
-    if (opts.machine.numProcs > 1)
-        baseline = lab.baseline(opts.machine);
-
-    ParallelMachine machine(scene, opts.machine);
-    OracleEngine oracle(opts.machine, opts.oracle);
-    oracle.attach(machine);
-    oracle.beginFrame(0, scene);
-    FrameResult result = machine.run();
-    uint64_t digest = digestFrame(result);
-    oracle.endFrame(0, scene, &machine.distribution(), &result,
-                    result.frameTime);
-
-    result.print(std::cout);
-    if (result.failed) {
-        std::cerr << "\n" << result.diagnostic;
-        std::cerr << "frame failed: " << result.failureReason
-                  << "\n";
-    } else if (result.degraded) {
-        std::cout << "\n(frame completed degraded: "
-                  << result.faultStats.nodesKilled
-                  << " node(s) lost, coverage preserved by "
-                     "redistribution)\n";
-    }
-    if (baseline && !result.failed && result.frameTime) {
-        std::cout << "speedup:           "
-                  << double(baseline) / double(result.frameTime)
-                  << " (T1 = " << baseline << ")\n";
-    }
-
-    int exit_code = result.failed ? exitFrameFailed : exitOk;
-    if (opts.audit && !result.failed) {
-        AuditReport report = auditFrame(
-            scene, machine.distribution(), opts.machine, result);
-        if (!report.ok()) {
-            std::cerr << "audit violation(s):\n"
-                      << report.describe() << "\n";
-            exit_code = exitAuditViolation;
-        }
-    }
-
-    if (!opts.resultCsv.empty()) {
-        CsvWriter csv(opts.resultCsv);
-        frameCsvHeader(csv);
-        frameCsvRow(csv, 0, result, digest);
-        csv.close();
-        std::cout << "per-frame results written to "
-                  << opts.resultCsv << "\n";
-    }
-
-    if (!opts.manifestPath.empty()) {
-        RunManifest m = describeRun(opts, scene, 1);
-        m.digests.push_back(digest);
-        m.save(opts.manifestPath);
-        std::cout << "run manifest written to " << opts.manifestPath
-                  << "\n";
-    }
-
-    if (!opts.statsFile.empty()) {
-        std::ostringstream os;
-        os << "# texdist_sim statistics\n";
-        os << "# workload " << scene.name << "\n";
-        os << "# machine " << opts.machine.describe() << "\n";
-        machine.dumpStats(os);
-        io::writeFileAtomic(opts.statsFile, os.str());
-        std::cout << "stats written to " << opts.statsFile << "\n";
     }
     return exit_code;
 }
@@ -418,19 +390,7 @@ run(int argc, char **argv)
               << scene.textures.count() << " textures)\n";
     std::cout << "machine:  " << opts.machine.describe() << "\n\n";
 
-    const bool sequence_mode =
-        opts.frames > 1 || opts.checkpointEvery > 0 ||
-        !opts.restorePath.empty() ||
-        !opts.replayVerifyPath.empty() || opts.panDx != 0.0 ||
-        opts.panDy != 0.0 || opts.sample.enabled();
-
-    if (sequence_mode) {
-        if (!opts.statsFile.empty())
-            texdist_fatal("--stats-file is not supported in "
-                          "multi-frame runs");
-        return runSequence(opts, scene);
-    }
-    return runSingle(opts, scene);
+    return runFrames(opts, scene);
 }
 
 } // namespace

@@ -147,7 +147,7 @@ enum class Mutation
 };
 
 void
-plant(ParallelMachine &machine, Mutation mutation)
+plant(SequenceMachine &machine, Mutation mutation)
 {
     switch (mutation) {
       case Mutation::None:
@@ -187,8 +187,8 @@ struct RunOutcome
 };
 
 /**
- * One fully-checked single-frame run: ParallelMachine + oracle, an
- * optional external distribution, an optional planted bug. Throws
+ * One fully-checked single-frame run: machine + oracle, an optional
+ * external distribution, an optional planted bug. Throws
  * OracleError on any invariant violation.
  */
 RunOutcome
@@ -197,19 +197,18 @@ runChecked(const Scene &scene, const MachineConfig &cfg,
            std::unique_ptr<Distribution> dist = nullptr,
            Mutation mutation = Mutation::None)
 {
-    auto machine =
-        dist ? std::make_unique<ParallelMachine>(scene, cfg,
-                                                 std::move(dist))
-             : std::make_unique<ParallelMachine>(scene, cfg);
-    plant(*machine, mutation);
+    SequenceMachine machine(scene, cfg, 1,
+                            FrameEntry::SingleFrame,
+                            std::move(dist));
+    plant(machine, mutation);
 
     OracleEngine oracle(cfg, mode);
-    oracle.attach(*machine);
+    oracle.attach(machine);
     oracle.beginFrame(0, scene);
 
     RunOutcome out;
-    out.result = machine->run();
-    oracle.endFrame(0, scene, &machine->distribution(), &out.result,
+    out.result = machine.runFrame(scene);
+    oracle.endFrame(0, scene, &machine.distribution(), &out.result,
                     out.result.frameTime);
 
     out.coverageDigest = oracle.lastCoverageDigest();
@@ -258,11 +257,11 @@ relationOrganization(const Scene &scene, uint32_t procs)
 
     SortLastConfig sl;
     sl.node = baseConfig(procs);
-    SortLastMachine machine(scene, sl);
+    SequenceMachine machine(scene, sl);
     OracleEngine oracle(sl.node, OracleMode::Full);
     oracle.attach(machine);
     oracle.beginFrame(0, scene);
-    SortLastResult slr = machine.run();
+    FrameResult slr = machine.runFrame(scene);
     oracle.endFrame(0, scene, nullptr, nullptr, slr.frameTime);
     uint64_t c = oracle.lastCoverageDigest();
 
