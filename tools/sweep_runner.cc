@@ -32,14 +32,21 @@
  *
  * `--threads=<n>` switches to in-process mode: configurations are
  * simulated on a host worker pool inside this process (no fork/exec,
- * no --sim binary needed), n at a time. Output files — per-config
- * CSVs, the manifest, and the merged sweep.csv — are byte-identical
- * to subprocess mode, so the two modes are interchangeable and
- * `--resume` works across them. The trade-off is isolation:
- * in-process configs share one address space, so there is no
- * per-config timeout or crash retry, and flags that assume a
- * dedicated process (checkpointing, manifests, replay verification,
- * stats files) are rejected up front.
+ * no --sim binary needed), n at a time. Each config runs
+ * texdist_sim's own frame loop (runSimulation() in simulation.hh) on
+ * the argv a child would get, with its .log as both output streams,
+ * so `--sample`, `--audit`, the single-frame T(1) speedup line and
+ * the typed exit codes behave as in a child: a config that fails
+ * (say, a missing trace: exit 6) fails alone and the sweep goes on.
+ * Per-config CSVs and the merged sweep.csv are byte-identical to
+ * subprocess mode, and the manifest records the same statuses and
+ * exit codes, so the two modes are interchangeable and `--resume`
+ * works across them. The trade-off is isolation: in-process configs
+ * share one address space, so there is no per-config timeout or crash
+ * retry, and flags that assume a dedicated process (checkpointing,
+ * restore, manifests, replay verification, stats files, and
+ * `--io-fault`, whose plan is process-wide) are rejected up front for
+ * the whole sweep.
  *
  * `--store=<dir>` memoizes results in a content-addressed store
  * (src/fabric): a config whose key — FNV digest of (canonical
@@ -90,20 +97,15 @@
 #include <unistd.h>
 
 #include "core/error.hh"
-#include "core/interframe.hh"
 #include "core/json.hh"
 #include "core/options.hh"
 #include "core/replay.hh"
-#include "core/sequence.hh"
 #include "io/vfs.hh"
-#include "oracle/oracle.hh"
 #include "fabric/lease.hh"
 #include "fabric/store.hh"
-#include "scene/benchmarks.hh"
-#include "sim/checkpoint.hh"
 #include "sim/logging.hh"
 #include "sim/thread_pool.hh"
-#include "trace/trace.hh"
+#include "simulation.hh"
 
 using namespace texdist;
 
@@ -446,15 +448,31 @@ loadConfigs(const std::string &path)
     return configs;
 }
 
-std::vector<std::string>
-splitArgs(const std::string &args)
+/** A config's own file in the output directory, e.g. its .csv. */
+std::string
+configFile(const RunnerOptions &opts, const std::string &name,
+           const char *ext)
 {
-    std::vector<std::string> out;
-    std::istringstream is(args);
+    return opts.outDir + "/" + name + ext;
+}
+
+/**
+ * The simulator command line of one config, without argv[0]: the
+ * common args, the config's own args and its --result-csv. A child
+ * process execs exactly these and an in-process config parses them,
+ * so both modes run the same options; the store key hashes them.
+ */
+std::vector<std::string>
+configArgs(const RunnerOptions &opts, const SweepConfig &cfg)
+{
+    std::vector<std::string> args = opts.commonArgs;
+    std::istringstream is(cfg.args);
     std::string tok;
     while (is >> tok)
-        out.push_back(tok);
-    return out;
+        args.push_back(tok);
+    args.push_back("--result-csv=" +
+                   configFile(opts, cfg.name, ".csv"));
+    return args;
 }
 
 std::string
@@ -500,7 +518,7 @@ saveManifest(const RunnerOptions &opts,
 bool
 configCsvUsable(const RunnerOptions &opts, const std::string &name)
 {
-    std::string csvPath = opts.outDir + "/" + name + ".csv";
+    std::string csvPath = configFile(opts, name, ".csv");
     if (!io::fileExists(csvPath))
         return false;
     auto parsed =
@@ -615,16 +633,9 @@ Attempt
 runChild(const RunnerOptions &opts, const SweepConfig &cfg,
          const std::function<void()> &onPoll = nullptr)
 {
-    std::vector<std::string> args;
-    args.push_back(opts.simPath);
-    for (const std::string &arg : opts.commonArgs)
-        args.push_back(arg);
-    for (const std::string &arg : splitArgs(cfg.args))
-        args.push_back(arg);
-    args.push_back("--result-csv=" + opts.outDir + "/" + cfg.name +
-                   ".csv");
-
-    std::string log_path = opts.outDir + "/" + cfg.name + ".log";
+    std::vector<std::string> args = configArgs(opts, cfg);
+    args.insert(args.begin(), opts.simPath);
+    std::string log_path = configFile(opts, cfg.name, ".log");
 
     pid_t pid = fork();
     if (pid < 0)
@@ -736,7 +747,7 @@ superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
                                 ? "died on a signal"
                                 : "failed")
                   << " (exit " << result.exitCode << ", see "
-                  << opts.outDir << "/" << cfg.name << ".log)\n";
+                  << configFile(opts, cfg.name, ".log") << ")\n";
         if (environmental) {
             ++cfg.signalDeaths;
             if (sigRetries++ < opts.signalRetries)
@@ -764,91 +775,36 @@ superviseConfig(const RunnerOptions &opts, SweepConfig &cfg,
 }
 
 /**
- * In-process mode: parse a pending config's full command line. All
+ * In-process mode: parse a pending config's command line. All
  * configs are parsed up front on the main thread, so a sweep never
  * dies halfway through on a typo that subprocess mode would also
- * have rejected — and never calls exit() from a worker thread.
+ * have rejected. Flags that need a process of their own are rejected
+ * here too: checkpointing, restore, manifests, replay verification
+ * and stats files reach fatal()/exit paths that must not run on a
+ * worker thread, and an --io-fault plan is process-wide, so it
+ * cannot be scoped to one config.
  */
 SimOptions
 parseInProcessConfig(const RunnerOptions &opts,
                      const SweepConfig &cfg)
 {
-    std::vector<std::string> args = opts.commonArgs;
-    for (const std::string &arg : splitArgs(cfg.args))
-        args.push_back(arg);
-    SimOptions sim = SimOptions::parse(args);
+    SimOptions sim = SimOptions::parse(configArgs(opts, cfg));
     if (sim.help || sim.listBenchmarks)
         texdist_fatal("config '", cfg.name, "': --help and "
                       "--list-benchmarks make no sense in a sweep");
     if (sim.checkpointEvery > 0 || !sim.checkpointFile.empty() ||
         !sim.restorePath.empty() || !sim.manifestPath.empty() ||
-        !sim.replayVerifyPath.empty() || !sim.statsFile.empty())
+        !sim.replayVerifyPath.empty() || !sim.statsFile.empty() ||
+        !sim.ioFault.empty())
         texdist_fatal("config '", cfg.name, "': checkpoint, "
-                      "restore, manifest, replay-verify and "
-                      "stats-file need a dedicated process per "
+                      "restore, manifest, replay-verify, stats-file "
+                      "and io-fault need a dedicated process per "
                       "config; drop --threads to run this sweep");
+    // The sweep's parallelism is config-level: each machine runs its
+    // nodes serially unless the config asked for --jobs.
+    if (sim.jobs == 0)
+        sim.jobs = 1;
     return sim;
-}
-
-/**
- * Simulate one config inside this process, producing the same
- * per-config CSV and log files as an exec'd texdist_sim would.
- * Returns the exit code the equivalent child process would have.
- */
-int
-runConfigInProcess(const RunnerOptions &opts, const SweepConfig &cfg,
-                   const SimOptions &sim)
-{
-    std::ofstream log(opts.outDir + "/" + cfg.name + ".log");
-    Scene base = sim.tracePath.empty()
-                     ? makeBenchmark(sim.scene, sim.scale)
-                     : readTraceFile(sim.tracePath);
-    CsvWriter csv(opts.outDir + "/" + cfg.name + ".csv");
-    frameCsvHeader(csv);
-
-    int exit_code = exitOk;
-    bool interrupted = false;
-    try {
-        // The sweep's parallelism is config-level; each machine runs
-        // its frames serially unless the config asked for --jobs.
-        SequenceMachine machine(
-            base, sim.machine, sim.jobs > 0 ? sim.jobs : 1,
-            sim.singleFrame() ? FrameEntry::SingleFrame
-                              : FrameEntry::Sequence);
-        OracleEngine oracle(sim.machine, sim.oracle);
-        oracle.attach(machine);
-        for (uint32_t f = 0; f < sim.frames; ++f) {
-            Scene frame = f == 0 ? Scene()
-                                 : translateScene(base,
-                                                  float(sim.panDx * f),
-                                                  float(sim.panDy * f));
-            const Scene &scene = f == 0 ? base : frame;
-            oracle.beginFrame(f, scene);
-            FrameResult r = machine.runFrame(scene);
-            oracle.endFrame(f, scene, &machine.distribution(), &r,
-                            machine.currentTime());
-            uint64_t digest = digestFrame(r);
-            frameCsvRow(csv, f, r, digest);
-            log << "frame " << f << ": " << r.frameTime << " cycles, "
-                << r.totalPixels << " pixels, digest "
-                << digestHex(digest) << "\n";
-            if (r.failed) {
-                log << "frame failed: " << r.failureReason << "\n";
-                exit_code = 2; // texdist_sim's exitFrameFailed
-                break;
-            }
-            if (g_signal != 0) {
-                interrupted = true;
-                break;
-            }
-        }
-    } catch (const OracleError &e) {
-        // Same exit code a child texdist_sim process would report.
-        log << "fatal: " << e.describe() << "\n";
-        exit_code = e.exitCode();
-    }
-    csv.close();
-    return interrupted ? exitInterrupted : exit_code;
 }
 
 /**
@@ -860,9 +816,8 @@ fabric::StoreKey
 configStoreKey(const RunnerOptions &opts, const SweepConfig &cfg,
                std::string *metaOut = nullptr)
 {
-    std::vector<std::string> args = opts.commonArgs;
-    for (const std::string &arg : splitArgs(cfg.args))
-        args.push_back(arg);
+    std::vector<std::string> args = configArgs(opts, cfg);
+    args.pop_back();
     uint64_t traceDigest = 0;
     for (const std::string &arg : args)
         if (arg.rfind("--trace=", 0) == 0)
@@ -891,7 +846,7 @@ publishResult(const RunnerOptions &opts, fabric::ResultStore &store,
               const SweepConfig &cfg, const fabric::StoreKey &key,
               const std::string &meta)
 {
-    std::string csvPath = opts.outDir + "/" + cfg.name + ".csv";
+    std::string csvPath = configFile(opts, cfg.name, ".csv");
     parseFrameCsvFile(csvPath);
     store.publish(key, meta, slurpFile(csvPath));
 }
@@ -941,104 +896,6 @@ writeFabricStats(const RunnerOptions &opts,
               << store.stats().corrupt << " quarantined\n";
 }
 
-void mergeResults(const RunnerOptions &opts,
-                  const std::vector<SweepConfig> &configs);
-
-/** The whole sweep in-process, opts.threads configs at a time. */
-int
-runSweepInProcess(const RunnerOptions &opts,
-                  std::vector<SweepConfig> &configs)
-{
-    // Optional memoization: serve store hits before parsing, so a
-    // fully cached sweep never builds a scene at all.
-    std::unique_ptr<fabric::ResultStore> store;
-    std::vector<fabric::StoreKey> keys(configs.size());
-    std::vector<std::string> metas(configs.size());
-    if (!opts.storeDir.empty()) {
-        store = std::make_unique<fabric::ResultStore>(
-            opts.storeDir, opts.storeStrict);
-        for (size_t i = 0; i < configs.size(); ++i) {
-            if (configs[i].status == "done")
-                continue;
-            keys[i] = configStoreKey(opts, configs[i], &metas[i]);
-            if (auto payload = store->fetch(keys[i])) {
-                atomicWriteFile(opts.outDir + "/" +
-                                    configs[i].name + ".csv",
-                                *payload);
-                configs[i].status = "done";
-                configs[i].exitCode = 0;
-                std::cout << "  " << configs[i].name
-                          << ": done (store hit)\n";
-            }
-        }
-    }
-
-    std::vector<size_t> pending;
-    std::vector<SimOptions> parsed(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        if (configs[i].status == "done") {
-            std::cout << "  " << configs[i].name
-                      << ": done (resumed)\n";
-            continue;
-        }
-        parsed[i] = parseInProcessConfig(opts, configs[i]);
-        pending.push_back(i);
-    }
-
-    ThreadPool pool(opts.threads);
-    std::vector<int> codes(configs.size(), exitOk);
-    // texlint: phase(isolated) each task simulates one sweep config in
-    // a private universe; results land in per-config slots
-    pool.parallelFor(pending.size(), [&](uint32_t, size_t p) {
-        size_t i = pending[p];
-        ++configs[i].attempts;
-        codes[i] = runConfigInProcess(opts, configs[i], parsed[i]);
-    });
-
-    bool interrupted = g_signal != 0;
-    for (size_t i : pending) {
-        SweepConfig &cfg = configs[i];
-        cfg.exitCode = codes[i];
-        if (codes[i] == exitOk) {
-            cfg.status = "done";
-            if (store)
-                publishResult(opts, *store, cfg, keys[i], metas[i]);
-            std::cout << "  " << cfg.name << ": done\n";
-        } else if (codes[i] == exitInterrupted) {
-            interrupted = true; // stays pending for --resume
-        } else {
-            cfg.status = "failed";
-            std::cout << "  " << cfg.name << ": failed (exit "
-                      << codes[i] << ", see " << opts.outDir << "/"
-                      << cfg.name << ".log)\n";
-        }
-    }
-    saveManifest(opts, configs);
-    if (store)
-        writeFabricStats(opts, *store, nullptr, 0);
-
-    if (interrupted) {
-        std::cerr << "sweep interrupted; progress saved to "
-                  << manifestPath(opts) << " (resume with "
-                  << "--resume)\n";
-        return exitInterrupted;
-    }
-    size_t failed = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status != "done")
-            ++failed;
-    if (failed > 0) {
-        std::cerr << failed << " config(s) failed permanently; see "
-                  << manifestPath(opts) << "\n";
-        return exitSomeFailed;
-    }
-    mergeResults(opts, configs);
-    std::cout << "sweep complete: " << configs.size()
-              << " config(s); merged results in " << opts.outDir
-              << "/sweep.csv\n";
-    return exitOk;
-}
-
 /**
  * Merge per-config CSVs into <out>/sweep.csv, atomically. Every CSV
  * is validated (strict parse) before its raw lines are concatenated,
@@ -1053,7 +910,7 @@ mergeResults(const RunnerOptions &opts,
     std::string merged;
     bool wrote_header = false;
     for (const SweepConfig &cfg : configs) {
-        std::string path = opts.outDir + "/" + cfg.name + ".csv";
+        std::string path = configFile(opts, cfg.name, ".csv");
         parseFrameCsvFile(path);
         auto bytes = io::readFileIfPresent(path);
         if (!bytes)
@@ -1077,6 +934,158 @@ mergeResults(const RunnerOptions &opts,
         }
     }
     atomicWriteFile(opts.outDir + "/sweep.csv", merged);
+}
+
+/**
+ * Serve a config from the store if its key has an entry: restore
+ * the per-config CSV and mark the config done.
+ */
+bool
+serveFromStore(const RunnerOptions &opts, fabric::ResultStore &store,
+               SweepConfig &cfg, const fabric::StoreKey &key)
+{
+    auto payload = store.fetch(key);
+    if (!payload)
+        return false;
+    atomicWriteFile(configFile(opts, cfg.name, ".csv"), *payload);
+    cfg.status = "done";
+    cfg.exitCode = 0;
+    std::cout << "  " << cfg.name << ": done (store hit)\n";
+    return true;
+}
+
+/**
+ * The end of every sweep: report an interruption or permanent
+ * failures (pointing at @p record, where they are recorded), or merge
+ * the completed configs into sweep.csv.
+ */
+int
+finishSweep(const RunnerOptions &opts,
+            const std::vector<SweepConfig> &configs, bool interrupted,
+            const std::string &record)
+{
+    if (interrupted) {
+        std::cerr << "sweep interrupted; progress saved to " << record
+                  << " (resume with --resume)\n";
+        return exitInterrupted;
+    }
+    size_t failed = 0;
+    for (const SweepConfig &cfg : configs)
+        if (cfg.status != "done")
+            ++failed;
+    if (failed > 0) {
+        std::cerr << failed << " config(s) failed permanently; see "
+                  << record << "\n";
+        return exitSomeFailed;
+    }
+    mergeResults(opts, configs);
+    std::cout << "sweep complete: " << configs.size()
+              << " config(s); merged results in " << opts.outDir
+              << "/sweep.csv\n";
+    return exitOk;
+}
+
+/**
+ * In-process mode: simulate the pending configs opts.threads at a
+ * time, each through texdist_sim's own runSimulation() with the
+ * config's .log as both output streams, and record the status and
+ * exit code its child process would have had.
+ */
+void
+runInProcess(const RunnerOptions &opts,
+             std::vector<SweepConfig> &configs,
+             const std::vector<size_t> &pending)
+{
+    std::vector<SimOptions> parsed(configs.size());
+    for (size_t i : pending)
+        parsed[i] = parseInProcessConfig(opts, configs[i]);
+
+    ThreadPool pool(opts.threads);
+    // texlint: phase(isolated) each task simulates one sweep config in
+    // a private universe; results land in per-config slots
+    pool.parallelFor(pending.size(), [&](uint32_t, size_t p) {
+        size_t i = pending[p];
+        std::ofstream log(configFile(opts, configs[i].name, ".log"));
+        ++configs[i].attempts;
+        configs[i].exitCode =
+            runSimulation(parsed[i], log, log, g_signal);
+        // An interrupted config stays pending for --resume.
+        if (configs[i].exitCode != simExitInterrupted)
+            configs[i].status =
+                configs[i].exitCode == simExitOk ? "done" : "failed";
+    });
+}
+
+/**
+ * A manifest-backed sweep, in subprocess or in-process mode: serve
+ * resumed configs and store hits, run the rest, publish each
+ * completed result, and merge once every config is done. Only
+ * running the pending configs differs between the modes.
+ */
+int
+runSweep(const RunnerOptions &opts, std::vector<SweepConfig> &configs)
+{
+    std::unique_ptr<fabric::ResultStore> store;
+    if (!opts.storeDir.empty())
+        store = std::make_unique<fabric::ResultStore>(
+            opts.storeDir, opts.storeStrict);
+    std::vector<fabric::StoreKey> keys(configs.size());
+    std::vector<std::string> metas(configs.size());
+
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < configs.size(); ++i) {
+        if (configs[i].status == "done") {
+            std::cout << "  " << configs[i].name
+                      << ": done (resumed)\n";
+            continue;
+        }
+        if (store) {
+            keys[i] = configStoreKey(opts, configs[i], &metas[i]);
+            if (serveFromStore(opts, *store, configs[i], keys[i]))
+                continue;
+        }
+        pending.push_back(i);
+    }
+
+    auto settle = [&](size_t i) {
+        SweepConfig &cfg = configs[i];
+        if (cfg.status == "done") {
+            if (store)
+                publishResult(opts, *store, cfg, keys[i], metas[i]);
+            std::cout << "  " << cfg.name << ": done\n";
+        } else if (cfg.status == "failed") {
+            std::cout << "  " << cfg.name << ": failed (exit "
+                      << cfg.exitCode << ", see "
+                      << configFile(opts, cfg.name, ".log") << ")\n";
+        }
+    };
+
+    bool interrupted = false;
+    if (opts.threads > 0) {
+        runInProcess(opts, configs, pending);
+        for (size_t i : pending)
+            settle(i);
+        interrupted = g_signal != 0;
+    } else {
+        for (size_t i : pending) {
+            if (g_signal != 0) {
+                interrupted = true;
+                break;
+            }
+            superviseConfig(opts, configs[i], interrupted);
+            if (interrupted)
+                break;
+            settle(i);
+            // Persist progress after every config so a crash loses
+            // at most the config in flight.
+            saveManifest(opts, configs);
+        }
+    }
+
+    saveManifest(opts, configs);
+    if (store)
+        writeFabricStats(opts, *store, nullptr, 0);
+    return finishSweep(opts, configs, interrupted, manifestPath(opts));
 }
 
 /**
@@ -1166,7 +1175,7 @@ runSweepFabric(const RunnerOptions &opts,
             if (queue.isDone(cfg.name)) {
                 cfg.status = "done";
                 std::string csvPath =
-                    opts.outDir + "/" + cfg.name + ".csv";
+                    configFile(opts, cfg.name, ".csv");
                 if (!io::fileExists(csvPath)) {
                     // Done marker without a CSV (lost to a torn
                     // write): restore it from the store, or demote
@@ -1194,14 +1203,8 @@ runSweepFabric(const RunnerOptions &opts,
             allTerminal = false;
 
             // Store fast path: no lease needed to serve a hit.
-            if (auto payload = store.fetch(keys[i])) {
-                atomicWriteFile(opts.outDir + "/" + cfg.name +
-                                    ".csv",
-                                *payload);
+            if (serveFromStore(opts, store, cfg, keys[i])) {
                 queue.markDone(cfg.name, keys[i]);
-                cfg.status = "done";
-                std::cout << "  " << cfg.name
-                          << ": done (store hit)\n";
                 progress = true;
                 continue;
             }
@@ -1271,25 +1274,12 @@ runSweepFabric(const RunnerOptions &opts,
 
     writeFabricStats(opts, store, &queue, speculativeRuns);
 
-    size_t failed = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status != "done")
-            ++failed;
-    if (failed > 0) {
-        std::cerr << failed
-                  << " config(s) failed permanently; see the "
-                  << ".failed markers in " << opts.outDir
-                  << "/queue\n";
-        return exitSomeFailed;
-    }
     // Every worker that reaches this point merges; the atomic
     // rename makes the duplicate publications collide harmlessly
     // into identical bytes.
-    mergeResults(opts, configs);
-    std::cout << "sweep complete: " << configs.size()
-              << " config(s); merged results in " << opts.outDir
-              << "/sweep.csv\n";
-    return exitOk;
+    return finishSweep(opts, configs, false,
+                       "the .failed markers in " + opts.outDir +
+                           "/queue");
 }
 
 int
@@ -1349,86 +1339,7 @@ run(int argc, char **argv)
     std::cout << "sweep: " << configs.size() << " config(s), "
               << done << " already done\n";
 
-    if (opts.threads > 0)
-        return runSweepInProcess(opts, configs);
-
-    std::unique_ptr<fabric::ResultStore> store;
-    std::vector<fabric::StoreKey> keys(configs.size());
-    std::vector<std::string> metas(configs.size());
-    if (!opts.storeDir.empty()) {
-        store = std::make_unique<fabric::ResultStore>(
-            opts.storeDir, opts.storeStrict);
-        for (size_t i = 0; i < configs.size(); ++i)
-            if (configs[i].status != "done")
-                keys[i] =
-                    configStoreKey(opts, configs[i], &metas[i]);
-    }
-
-    bool interrupted = false;
-    for (size_t i = 0; i < configs.size(); ++i) {
-        SweepConfig &cfg = configs[i];
-        if (g_signal != 0) {
-            interrupted = true;
-            break;
-        }
-        if (cfg.status == "done") {
-            std::cout << "  " << cfg.name << ": done (resumed)\n";
-            continue;
-        }
-        if (store) {
-            if (auto payload = store->fetch(keys[i])) {
-                atomicWriteFile(opts.outDir + "/" + cfg.name +
-                                    ".csv",
-                                *payload);
-                cfg.status = "done";
-                cfg.exitCode = 0;
-                std::cout << "  " << cfg.name
-                          << ": done (store hit)\n";
-                saveManifest(opts, configs);
-                continue;
-            }
-        }
-
-        superviseConfig(opts, cfg, interrupted);
-        if (interrupted)
-            break;
-        if (cfg.status == "done") {
-            if (store)
-                publishResult(opts, *store, cfg, keys[i], metas[i]);
-            std::cout << "  " << cfg.name << ": done\n";
-        }
-
-        // Persist progress after every config so a crash loses at
-        // most the config in flight.
-        saveManifest(opts, configs);
-    }
-
-    saveManifest(opts, configs);
-    if (store)
-        writeFabricStats(opts, *store, nullptr, 0);
-
-    if (interrupted) {
-        std::cerr << "sweep interrupted; progress saved to "
-                  << manifestPath(opts) << " (resume with "
-                  << "--resume)\n";
-        return exitInterrupted;
-    }
-
-    size_t failed = 0;
-    for (const SweepConfig &cfg : configs)
-        if (cfg.status != "done")
-            ++failed;
-    if (failed > 0) {
-        std::cerr << failed << " config(s) failed permanently; see "
-                  << manifestPath(opts) << "\n";
-        return exitSomeFailed;
-    }
-
-    mergeResults(opts, configs);
-    std::cout << "sweep complete: " << configs.size()
-              << " config(s); merged results in " << opts.outDir
-              << "/sweep.csv\n";
-    return exitOk;
+    return runSweep(opts, configs);
 }
 
 } // namespace
