@@ -2,9 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks for the simulator's hot paths:
  * rasterization, trilinear address generation (single and batched),
- * cache lookups and the event kernel. These guard the simulator's
- * own throughput (frames are hundreds of millions of texel
- * accesses), not the paper's results.
+ * cache lookups (single and batched) and whole frames. These guard
+ * the simulator's own throughput (frames are hundreds of millions of
+ * texel accesses), not the paper's results.
  *
  * Every benchmark runs 5 repetitions and reports only the
  * aggregates — read the *_median row; a single repetition on a busy
@@ -14,12 +14,16 @@
  * four skip.
  */
 
+#include <memory>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
 #include "core/machine.hh"
 #include "geom/rng.hh"
 #include "raster/raster.hh"
+#include "scene/benchmarks.hh"
 #include "scene/builder.hh"
 #include "sim/simd.hh"
 #include "texture/sampler.hh"
@@ -241,6 +245,107 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_CacheAccess)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+/**
+ * A real sampler address stream: every triangle of a seed scene
+ * rasterized and its fragments run through generateBatch, in the
+ * order a node's scan probes them. Unlike BM_CacheAccess's random
+ * stream it keeps the line reuse of 2x2 texel footprints.
+ */
+const std::vector<uint64_t> &
+samplerStream()
+{
+    static const std::vector<uint64_t> stream = [] {
+        constexpr size_t cap = size_t(512) * texelsPerFragment * 64;
+        Scene scene = makeBenchmark("quake", 0.25);
+        std::vector<uint64_t> out;
+        std::vector<float> us, vs, lods;
+        for (const TexTriangle &tri : scene.triangles) {
+            const Texture &tex = scene.textures.get(tri.tex);
+            TriangleRaster raster(tri, tex.width(), tex.height());
+            us.clear();
+            vs.clear();
+            lods.clear();
+            raster.rasterize(scene.screenRect(),
+                             [&](const Fragment &f) {
+                                 us.push_back(f.u);
+                                 vs.push_back(f.v);
+                                 lods.push_back(f.lod);
+                             });
+            size_t at = out.size();
+            out.resize(at + us.size() * texelsPerFragment);
+            TrilinearSampler::generateBatch(tex, us.data(), vs.data(),
+                                            lods.data(), us.size(),
+                                            out.data() + at);
+            if (out.size() >= cap)
+                break;
+        }
+        out.resize(cap);
+        return out;
+    }();
+    return stream;
+}
+
+/** Per-access time of a benchmark that made @p accesses probes. */
+void
+reportTimePerAccess(benchmark::State &state, int64_t accesses)
+{
+    state.SetItemsProcessed(accesses);
+    state.counters["time_per_access"] = benchmark::Counter(
+        double(accesses),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_CacheAccessBatch(benchmark::State &state)
+{
+    // The node's probe: one accessBatch call per 512-fragment chunk
+    // of the sampler stream (BM_CacheAccessSampler is the same
+    // stream one access() call at a time).
+    constexpr size_t call = size_t(512) * texelsPerFragment;
+    const std::vector<uint64_t> &addrs = samplerStream();
+    std::unique_ptr<TextureCache> cache =
+        makeCache(CacheKind::SetAssoc, CacheGeometry{});
+    std::vector<uint8_t> miss(call);
+    for (size_t at = 0; at < addrs.size(); at += call) // warmup
+        cache->accessBatch(addrs.data() + at, call, miss.data());
+
+    size_t at = 0;
+    for (auto _ : state) {
+        cache->accessBatch(addrs.data() + at, call, miss.data());
+        benchmark::DoNotOptimize(miss.data());
+        benchmark::ClobberMemory();
+        at = (at + call) % addrs.size();
+    }
+    reportTimePerAccess(state, int64_t(state.iterations()) * int64_t(call));
+}
+BENCHMARK(BM_CacheAccessBatch)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+void
+BM_CacheAccessSampler(benchmark::State &state)
+{
+    // Per-address baseline for BM_CacheAccessBatch: the same stream
+    // and call size, one virtual access() per reference.
+    constexpr size_t call = size_t(512) * texelsPerFragment;
+    const std::vector<uint64_t> &addrs = samplerStream();
+    std::unique_ptr<TextureCache> cache =
+        makeCache(CacheKind::SetAssoc, CacheGeometry{});
+    for (uint64_t a : addrs) // warmup
+        cache->access(a);
+
+    size_t at = 0;
+    for (auto _ : state) {
+        for (size_t i = 0; i < call; ++i)
+            benchmark::DoNotOptimize(cache->access(addrs[at + i]));
+        at = (at + call) % addrs.size();
+    }
+    reportTimePerAccess(state, int64_t(state.iterations()) * int64_t(call));
+}
+BENCHMARK(BM_CacheAccessSampler)
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

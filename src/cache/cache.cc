@@ -60,6 +60,49 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
     mruWay.assign(sets, 0);
 }
 
+namespace
+{
+
+/**
+ * Resolve @p tag within one set: true with @p way holding it, or
+ * false with @p way the least-recently-used victim to fill — the
+ * MRU probe and associative scan of SetAssocCache::access(), which
+ * keeps its own inline copy on the single-address path. Touches no
+ * state.
+ */
+inline bool
+findWay(const uint64_t *set_tags, const uint64_t *set_lru,
+        uint32_t ways, uint32_t mru, uint64_t tag, uint32_t &way)
+{
+    if (set_tags[mru] == tag) {
+        way = mru;
+        return true;
+    }
+    way = 0;
+    uint64_t oldest = UINT64_MAX;
+    for (uint32_t w = 0; w < ways; ++w) {
+        if (set_tags[w] == tag) {
+            way = w;
+            return true;
+        }
+        if (set_lru[w] < oldest) {
+            oldest = set_lru[w];
+            way = w;
+        }
+    }
+    return false;
+}
+
+} // namespace
+
+void
+TextureCache::accessBatch(const uint64_t *addrs, size_t n,
+                          uint8_t *miss)
+{
+    for (size_t i = 0; i < n; ++i)
+        miss[i] = access(addrs[i]) ? 0 : 1;
+}
+
 bool
 SetAssocCache::access(uint64_t addr)
 {
@@ -104,6 +147,75 @@ SetAssocCache::access(uint64_t addr)
     set_lru[victim] = ++stampCounter;
     mruWay[set] = victim;
     return false;
+}
+
+void
+SetAssocCache::accessBatch(const uint64_t *addrs, size_t n,
+                           uint8_t *miss)
+{
+    if (n == 0)
+        return;
+    // Locals, not members: the byte stores to `miss` may alias any
+    // member, which would force a reload of each on every reference.
+    const uint32_t line_shift = lineShift;
+    const uint32_t set_shift = setShift;
+    const uint64_t set_mask = sets - 1;
+    const uint32_t ways = geom.ways;
+    uint64_t *const tag_base = tags.data();
+    uint64_t *const lru_base = lruStamp.data();
+    uint32_t *const mru_base = mruWay.data();
+    const bool planted = lruSkipPeriod != 0;
+    uint64_t stamp = stampCounter;
+    uint64_t misses = 0;
+
+    // The line of the previous reference and the LRU slot of the way
+    // it resolved to: hit or fill, that line is resident there now.
+    // The initial value cannot equal the first line.
+    uint64_t prev_line = ~(addrs[0] >> line_shift);
+    uint64_t *prev_slot = nullptr;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t line = addrs[i] >> line_shift;
+        ++stamp;
+        if (line == prev_line) {
+            if (!planted || !plantedSkipThisHit())
+                *prev_slot = stamp;
+            miss[i] = 0;
+            continue;
+        }
+        prev_line = line;
+        const uint32_t set = uint32_t(line & set_mask);
+        const uint64_t tag = line >> set_shift;
+        uint64_t *set_tags = tag_base + size_t(set) * ways;
+        uint64_t *set_lru = lru_base + size_t(set) * ways;
+
+        uint32_t way;
+        bool hit = findWay(set_tags, set_lru, ways, mru_base[set], tag,
+                           way);
+        mru_base[set] = way;
+        prev_slot = set_lru + way;
+        if (hit) {
+            if (!planted || !plantedSkipThisHit())
+                *prev_slot = stamp;
+            miss[i] = 0;
+        } else {
+            ++misses;
+            set_tags[way] = tag;
+            *prev_slot = stamp;
+            miss[i] = 1;
+        }
+    }
+    stampCounter = stamp;
+    _accesses += n;
+    _misses += misses;
+}
+
+bool
+SetAssocCache::sameState(const SetAssocCache &other) const
+{
+    return geom == other.geom && stampCounter == other.stampCounter &&
+           _accesses == other._accesses &&
+           _misses == other._misses && tags == other.tags &&
+           lruStamp == other.lruStamp;
 }
 
 void
@@ -224,49 +336,22 @@ SetAssocCache::accessEvicting(uint64_t addr, uint64_t &evicted_addr,
                               bool &evicted)
 {
     evicted = false;
-    ++_accesses;
     uint64_t line = addr >> lineShift;
     uint32_t set = uint32_t(line & (sets - 1));
     uint64_t tag = line >> setShift;
+    const uint64_t *set_tags = &tags[size_t(set) * geom.ways];
 
-    uint64_t *set_tags = &tags[size_t(set) * geom.ways];
-    uint64_t *set_lru = &lruStamp[size_t(set) * geom.ways];
-
-    uint32_t mru = mruWay[set];
-    if (set_tags[mru] == tag) {
-        uint64_t stamp = ++stampCounter;
-        if (!plantedSkipThisHit())
-            set_lru[mru] = stamp;
-        return true;
-    }
-
-    uint32_t victim = 0;
-    uint64_t oldest = UINT64_MAX;
-    for (uint32_t w = 0; w < geom.ways; ++w) {
-        if (set_tags[w] == tag) {
-            uint64_t stamp = ++stampCounter;
-            if (!plantedSkipThisHit())
-                set_lru[w] = stamp;
-            mruWay[set] = w;
-            return true;
-        }
-        if (set_lru[w] < oldest) {
-            oldest = set_lru[w];
-            victim = w;
-        }
-    }
-
-    ++_misses;
-    if (set_tags[victim] != invalidTag) {
+    // Peek the victim before access() fills over it; the fill then
+    // goes to exactly that way.
+    uint32_t way;
+    if (!findWay(set_tags, &lruStamp[size_t(set) * geom.ways],
+                 geom.ways, mruWay[set], tag, way) &&
+        set_tags[way] != invalidTag) {
         evicted = true;
         evicted_addr =
-            ((set_tags[victim] << setShift) | uint64_t(set))
-            << lineShift;
+            ((set_tags[way] << setShift) | uint64_t(set)) << lineShift;
     }
-    set_tags[victim] = tag;
-    set_lru[victim] = ++stampCounter;
-    mruWay[set] = victim;
-    return false;
+    return access(addr);
 }
 
 void

@@ -15,6 +15,7 @@
 #ifndef TEXDIST_CACHE_CACHE_HH
 #define TEXDIST_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -73,6 +74,16 @@ class TextureCache
      * @return true on hit; false on miss (the line is filled)
      */
     virtual bool access(uint64_t addr) = 0;
+
+    /**
+     * Look up @p n texel addresses in order; miss[i] receives 1 when
+     * addrs[i] missed and 0 when it hit. Equal by definition to @p n
+     * in-order access() calls: state, statistics and checkpoint
+     * bytes end exactly where those calls would leave them. The
+     * default is that loop.
+     */
+    virtual void accessBatch(const uint64_t *addrs, size_t n,
+                             uint8_t *miss);
 
     /** Drop all cached state and statistics. */
     virtual void reset() = 0;
@@ -135,6 +146,19 @@ class SetAssocCache : public TextureCache
     explicit SetAssocCache(const CacheGeometry &geometry);
 
     bool access(uint64_t addr) override;
+
+    /**
+     * Fast path over the default loop: a reference to the same line
+     * as the reference before it is a hit on the way that reference
+     * resolved to, so it only refreshes that way's LRU stamp — no set
+     * index, no tag compare. Every other reference takes access()'s
+     * MRU probe, associative scan and fill. Tags, stamps, the stamp
+     * clock and the counters end bit-identical to per-address
+     * access(); only the MRU hint may differ.
+     */
+    void accessBatch(const uint64_t *addrs, size_t n,
+                     uint8_t *miss) override;
+
     void reset() override;
     void serialize(CheckpointWriter &w) const override;
     void unserialize(CheckpointReader &r) override;
@@ -200,6 +224,13 @@ class SetAssocCache : public TextureCache
     uint64_t stampClock() const { return stampCounter; }
     /** Current MRU-hint way of @p set (always < numWays()). */
     uint32_t mruHint(uint32_t set) const { return mruWay[set]; }
+
+    /**
+     * True when @p other holds the same checkpoint state: geometry,
+     * tags, LRU stamps, stamp clock and counters. The MRU hint and
+     * the planted-bug knob are not state and are not compared.
+     */
+    bool sameState(const SetAssocCache &other) const;
 
     /**
      * Planted-bug hook for the oracle's mutation self-test: every

@@ -80,6 +80,20 @@ class TwoLevelCache : public TextureCache
     /** True when this hierarchy promises strict L1 ⊆ L2. */
     bool inclusive() const { return strictInclusive; }
 
+    /**
+     * True when @p other holds the same checkpoint state: counters
+     * and both levels' SetAssocCache::sameState().
+     */
+    bool
+    sameState(const TwoLevelCache &other) const
+    {
+        return _accesses == other._accesses &&
+               _misses == other._misses &&
+               _l1Misses == other._l1Misses &&
+               l1Cache.sameState(other.l1Cache) &&
+               l2Cache.sameState(other.l2Cache);
+    }
+
     /** Planted-bug hook forwarding to the L1 (see SetAssocCache). */
     void
     debugPlantLruSkip(uint32_t period)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "cache/two_level.hh"
 #include "core/error.hh"
@@ -45,6 +46,9 @@ TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
                    _stallCycles);
     _stats.addStat("idle_cycles", "cycles starved for triangles",
                    _idleCycles);
+    _stats.addStat("setup_wait_cycles",
+                   "cycles waiting for the setup engine",
+                   _setupWaitCycles);
     _stats.addStat("triangle_pixels",
                    "pixels per received triangle", trianglePixels);
 }
@@ -95,65 +99,77 @@ TextureNode::scanFragments(TextureId texid,
 
     const Texture &tex = textures.get(texid);
     const size_t depth = retireRing.size();
-    TextureCache *const cache = cache_.get();
     TextureBus *const bus = bus_.get();
-    const uint32_t texels_per_fill = cache->texelsPerFill();
+    const uint32_t texels_per_fill = cache_->texelsPerFill();
 
-    // Addresses are generated a chunk at a time ahead of the timing
-    // loop: the pure address arithmetic pipelines without the cache
-    // and bus bookkeeping interleaved, and the chunk bound keeps the
-    // scratch buffers L2-resident for arbitrarily large triangles.
-    constexpr size_t chunk = 512;
-    const size_t batch = std::min(count, chunk);
-    if (uScratch.size() < batch) {
-        uScratch.resize(batch);
-        vScratch.resize(batch);
-        lodScratch.resize(batch);
-        addrScratch.resize(batch * size_t(texelsPerFragment));
-    }
-
+    // One miss byte per texel reference of the current chunk, filled
+    // by probeChunk before the loop reads it. On the stack: a
+    // per-node heap buffer adds to every node's footprint.
+    uint8_t miss[chunk * texelsPerFragment];
+    static_assert(texelsPerFragment == sizeof(uint64_t));
     for (size_t base = 0; base < count; base += chunk) {
         const size_t m = std::min(chunk, count - base);
-        for (size_t i = 0; i < m; ++i) {
-            const NodeFragment &frag = frags[base + i];
-            uScratch[i] = frag.u;
-            vScratch[i] = frag.v;
-            lodScratch[i] = frag.lod;
-        }
-        TrilinearSampler::generateBatch(tex, uScratch.data(),
-                                        vScratch.data(),
-                                        lodScratch.data(), m,
-                                        addrScratch.data());
+        // Planted texel leak: the triangle's very first texel
+        // reference bypasses the cache, unbalancing the
+        // accesses-per-pixel ledger for the oracle to notice.
+        probeChunk(tex, frags + base, m, _plantTexelLeak && base == 0,
+                   miss);
 
-        const uint64_t *addrs = addrScratch.data();
-        for (size_t i = 0; i < m;
-             ++i, addrs += texelsPerFragment) {
+        for (size_t i = 0; i < m; ++i) {
             // Wait for a prefetch-queue slot: the fragment issued
             // `depth` fragments ago must have retired.
             Tick issue = std::max(cpu, retireRing[ringHead]);
             _stallCycles += issue - cpu;
 
             Tick retire = issue + 1;
-            // Planted texel leak: the triangle's very first texel
-            // reference bypasses the cache, unbalancing the
-            // accesses-per-pixel ledger for the oracle to notice.
-            int k0 =
-                (_plantTexelLeak && base == 0 && i == 0) ? 1 : 0;
-            for (int k = k0; k < texelsPerFragment; ++k) {
-                if (!cache->access(addrs[k]) && bus) {
-                    Tick arrival =
-                        bus->transfer(issue, texels_per_fill);
-                    retire = std::max(retire, arrival);
-                }
+            // The fragment's 8 miss bytes as one word: most
+            // fragments hit on every reference and skip the bus.
+            uint64_t missed;
+            std::memcpy(&missed, miss + i * texelsPerFragment,
+                        sizeof missed);
+            if (missed != 0 && bus) {
+                // One line transfer per missed reference, in
+                // reference order (each miss byte is exactly 1).
+                for (int k = std::popcount(missed); k > 0; --k)
+                    retire = std::max(
+                        retire, bus->transfer(issue, texels_per_fill));
             }
 
             retireRing[ringHead] = retire;
-            ringHead = (ringHead + 1) % depth;
+            if (++ringHead == depth)
+                ringHead = 0;
             lastRetire = std::max(lastRetire, retire);
             cpu = issue + cycles_per_frag;
         }
     }
     return cpu;
+}
+
+void
+TextureNode::probeChunk(const Texture &tex, const NodeFragment *frags,
+                        size_t m, bool skip_first, uint8_t *miss)
+{
+    if (uScratch.size() < m) {
+        uScratch.resize(m);
+        vScratch.resize(m);
+        lodScratch.resize(m);
+        addrScratch.resize(m * size_t(texelsPerFragment));
+    }
+    for (size_t i = 0; i < m; ++i) {
+        uScratch[i] = frags[i].u;
+        vScratch[i] = frags[i].v;
+        lodScratch[i] = frags[i].lod;
+    }
+    TrilinearSampler::generateBatch(tex, uScratch.data(),
+                                    vScratch.data(), lodScratch.data(),
+                                    m, addrScratch.data());
+
+    const size_t first = skip_first ? 1 : 0;
+    if (skip_first)
+        miss[0] = 0;
+    cache_->accessBatch(addrScratch.data() + first,
+                        m * size_t(texelsPerFragment) - first,
+                        miss + first);
 }
 
 // texlint: phase(parallel) runs inside a drain task that owns this
@@ -175,39 +191,13 @@ TextureNode::functionalScan(TextureId texid,
         return;
     }
 
+    // The detailed scan's probe, minus the timing loop: only the
+    // cache sees the references.
     const Texture &tex = textures.get(texid);
-    TextureCache *const cache = cache_.get();
-
-    // Same chunked batch address generation as scanFragments, minus
-    // the timing loop: only the cache sees the references.
-    constexpr size_t chunk = 512;
-    const size_t batch = std::min(count, chunk);
-    if (uScratch.size() < batch) {
-        uScratch.resize(batch);
-        vScratch.resize(batch);
-        lodScratch.resize(batch);
-        addrScratch.resize(batch * size_t(texelsPerFragment));
-    }
-
-    for (size_t base = 0; base < count; base += chunk) {
-        const size_t m = std::min(chunk, count - base);
-        for (size_t i = 0; i < m; ++i) {
-            const NodeFragment &frag = frags[base + i];
-            uScratch[i] = frag.u;
-            vScratch[i] = frag.v;
-            lodScratch[i] = frag.lod;
-        }
-        TrilinearSampler::generateBatch(tex, uScratch.data(),
-                                        vScratch.data(),
-                                        lodScratch.data(), m,
-                                        addrScratch.data());
-
-        const uint64_t *addrs = addrScratch.data();
-        for (size_t i = 0; i < m; ++i, addrs += texelsPerFragment) {
-            for (int k = 0; k < texelsPerFragment; ++k)
-                cache->access(addrs[k]);
-        }
-    }
+    uint8_t miss[chunk * texelsPerFragment];
+    for (size_t base = 0; base < count; base += chunk)
+        probeChunk(tex, frags + base, std::min(chunk, count - base),
+                   false, miss);
 }
 
 // texlint: phase(parallel) runs inside a drain task that owns this

@@ -246,9 +246,27 @@ class TextureNode : public SimObject
     void unserialize(CheckpointReader &r);
 
   private:
+    /**
+     * Fragments per address-generation and cache-probe chunk: the
+     * bound keeps the scratch buffers L2-resident for arbitrarily
+     * large triangles.
+     */
+    static constexpr size_t chunk = 512;
+
     /** Scan one triangle's fragments starting at @p start. */
     Tick scanFragments(TextureId tex, const NodeFragment *frags,
                        size_t count, Tick start);
+
+    /**
+     * Generate the texel addresses of @p m <= chunk fragments and
+     * probe them with one TextureCache::accessBatch call:
+     * miss[8 * f + k] receives the verdict of fragment f's texel
+     * reference k (1 = miss). @p skip_first withholds the first
+     * reference from the cache (the planted texel leak) and reports
+     * it as a hit.
+     */
+    void probeChunk(const Texture &tex, const NodeFragment *frags,
+                    size_t m, bool skip_first, uint8_t *miss);
 
     uint32_t nodeId;
     // texlint: allow(checkpoint) construction state; restore validates
@@ -271,10 +289,12 @@ class TextureNode : public SimObject
     size_t ringHead = 0;
     Tick lastRetire = 0;
 
-    // Scratch for batched texel-address generation (not state: the
-    // scan refills it per chunk). SoA copies of the fragment
+    // Scratch for batched texel-address generation (not state:
+    // probeChunk refills it per chunk). SoA copies of the fragment
     // coordinates feed TrilinearSampler::generateBatch, whose
-    // addresses land in addrScratch for the timing loop to walk.
+    // addresses land in addrScratch for one accessBatch call; the
+    // timing loop then walks the returned miss mask, not the
+    // addresses.
     // texlint: allow(checkpoint) per-chunk scratch, refilled before use
     std::vector<uint64_t> addrScratch;
     // texlint: allow(checkpoint) per-chunk scratch, refilled before use

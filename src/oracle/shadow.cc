@@ -124,16 +124,43 @@ ShadowedCache::recordDivergence(uint64_t addr, const char *what)
         violations.push_back(
             "shadow divergence on " + owner + ": " + what +
             " for texel address " + std::to_string(addr) +
-            " (access #" + std::to_string(inner->accesses()) + ")");
+            " (access #" + std::to_string(twin->accesses()) + ")");
     }
 }
 
 bool
 ShadowedCache::access(uint64_t addr)
 {
-    if (innerTwoLevel) {
-        uint64_t ext_before = innerTwoLevel->misses();
-        bool l1_hit = inner->access(addr);
+    uint8_t miss;
+    accessBatch(&addr, 1, &miss);
+    return miss == 0;
+}
+
+void
+ShadowedCache::accessBatch(const uint64_t *addrs, size_t n,
+                           uint8_t *miss)
+{
+    inner->accessBatch(addrs, n, miss);
+    for (size_t i = 0; i < n; ++i) {
+        bool hit = checkedTwinAccess(addrs[i]);
+        if (miss[i] != (hit ? 0 : 1))
+            recordDivergence(addrs[i],
+                             "batched verdict differs from "
+                             "per-address access()");
+    }
+    if (n > 0 && !innerMatchesTwin())
+        recordDivergence(addrs[n - 1],
+                         "cache state after a batch differs from "
+                         "per-address access()");
+    syncStats();
+}
+
+bool
+ShadowedCache::checkedTwinAccess(uint64_t addr)
+{
+    if (twinTwoLevel) {
+        uint64_t ext_before = twinTwoLevel->misses();
+        bool l1_hit = twin->access(addr);
         ReferenceLru::Outcome o1 = refL1.access(addr);
         if (l1_hit != o1.hit)
             recordDivergence(addr, l1_hit
@@ -143,7 +170,7 @@ ShadowedCache::access(uint64_t addr)
                                          "model hits");
         if (!o1.hit) {
             ReferenceLru::Outcome o2 = refL2->access(addr);
-            bool ext_miss = innerTwoLevel->misses() != ext_before;
+            bool ext_miss = twinTwoLevel->misses() != ext_before;
             if (ext_miss == o2.hit)
                 recordDivergence(addr,
                                  ext_miss
@@ -151,34 +178,40 @@ ShadowedCache::access(uint64_t addr)
                                        "reference L2 hits"
                                      : "L2 hit where the reference "
                                        "model fetches externally");
-            if (innerTwoLevel->inclusive() && o2.evicted)
+            if (twinTwoLevel->inclusive() && o2.evicted)
                 refL1.invalidate(o2.evictedAddr);
-            checkRecencyOrder(innerTwoLevel->l2(), *refL2, addr,
+            checkRecencyOrder(twinTwoLevel->l2(), *refL2, addr,
                               "L2 replacement order diverged from "
                               "the reference model");
         }
         // Checked after any back-invalidation so both sides are in
         // their post-access state; a wrong L2 victim choice surfaces
         // here as an L1 content mismatch.
-        checkRecencyOrder(innerTwoLevel->l1(), refL1, addr,
+        checkRecencyOrder(twinTwoLevel->l1(), refL1, addr,
                           "L1 replacement order diverged from the "
                           "reference model");
-        syncStats();
         return l1_hit;
     }
 
-    bool hit = inner->access(addr);
+    bool hit = twin->access(addr);
     ReferenceLru::Outcome out = refL1.access(addr);
     if (hit != out.hit)
         recordDivergence(addr, hit ? "hit where the reference model "
                                      "misses"
                                    : "miss where the reference model "
                                      "hits");
-    checkRecencyOrder(*innerFlat, refL1, addr,
+    checkRecencyOrder(*twinFlat, refL1, addr,
                       "replacement order diverged from the "
                       "reference model");
-    syncStats();
     return hit;
+}
+
+bool
+ShadowedCache::innerMatchesTwin() const
+{
+    if (innerTwoLevel)
+        return innerTwoLevel->sameState(*twinTwoLevel);
+    return innerFlat->sameState(*twinFlat);
 }
 
 void
@@ -210,9 +243,7 @@ void
 ShadowedCache::reset()
 {
     inner->reset();
-    refL1.clear();
-    if (refL2)
-        refL2->clear();
+    reseed();
     syncStats();
 }
 
@@ -237,6 +268,9 @@ ShadowedCache::releaseInner()
 {
     innerFlat = nullptr;
     innerTwoLevel = nullptr;
+    twinFlat = nullptr;
+    twinTwoLevel = nullptr;
+    twin.reset();
     return std::move(inner);
 }
 
@@ -256,10 +290,18 @@ void
 ShadowedCache::reseed()
 {
     if (innerTwoLevel) {
-        refL1.seedFrom(innerTwoLevel->l1());
-        refL2->seedFrom(innerTwoLevel->l2());
+        auto copy = std::make_unique<TwoLevelCache>(*innerTwoLevel);
+        copy->debugPlantLruSkip(0);
+        twinTwoLevel = copy.get();
+        twin = std::move(copy);
+        refL1.seedFrom(twinTwoLevel->l1());
+        refL2->seedFrom(twinTwoLevel->l2());
     } else {
-        refL1.seedFrom(*innerFlat);
+        auto copy = std::make_unique<SetAssocCache>(*innerFlat);
+        copy->debugPlantLruSkip(0);
+        twinFlat = copy.get();
+        twin = std::move(copy);
+        refL1.seedFrom(*twinFlat);
     }
 }
 

@@ -19,11 +19,25 @@
  * collected and raised by the OracleEngine at the frame boundary as
  * exit-13 OracleErrors.
  *
+ * The simulation probes its cache a batch at a time
+ * (TextureCache::accessBatch), and the decorator routes each batch
+ * through the inner cache's own accessBatch, so the oracle checks the
+ * code simulations run. The reference comparison needs the state
+ * after every single access, which a batch never exposes, so it runs
+ * against a per-address *twin*: a copy of the inner cache driven by
+ * access() one address at a time and checked against the reference
+ * model on every access exactly as above. The batch is then held to
+ * the twin — the same verdict for every address, and bit-identical
+ * tags, stamps, stamp clock and counters once the batch is done. The
+ * twin copies the inner cache's state, never its planted-bug knob, so
+ * a bug inside the batched path shows up as batch-versus-twin
+ * divergence.
+ *
  * The decorator is transparent to the simulation: timing uses the
  * inner cache's verdicts, statistics mirror the inner counters, and
  * serialize/unserialize forward to the inner cache so checkpoints
- * stay byte-identical with and without the oracle. The reference
- * model reseeds itself from the inner tag/stamp arrays after a
+ * stay byte-identical with and without the oracle. The twin and the
+ * reference model reseed themselves from the inner cache after a
  * restore or reset, so shadows attach correctly to warm caches.
  */
 
@@ -99,8 +113,9 @@ class ReferenceLru
 };
 
 /**
- * TextureCache decorator running every access through both the real
- * cache and a reference model, recording divergences.
+ * TextureCache decorator running every batch through the real cache
+ * and every access through a per-address twin and a reference model,
+ * recording divergences.
  */
 class ShadowedCache : public TextureCache
 {
@@ -115,7 +130,10 @@ class ShadowedCache : public TextureCache
     /** True for the cache models a shadow knows how to mirror. */
     static bool canShadow(const TextureCache &cache);
 
+    /** One-address batch. */
     bool access(uint64_t addr) override;
+    void accessBatch(const uint64_t *addrs, size_t n,
+                     uint8_t *miss) override;
     void reset() override;
     void serialize(CheckpointWriter &w) const override;
     void unserialize(CheckpointReader &r) override;
@@ -141,8 +159,21 @@ class ShadowedCache : public TextureCache
     uint64_t divergences() const { return _divergences; }
 
   private:
-    /** Rebuild the reference models from the inner cache's state. */
+    /**
+     * Rebuild the twin from the inner cache's state (without its
+     * planted-bug knob) and the reference models from the twin.
+     */
     void reseed();
+
+    /**
+     * One per-address access of the twin, checked against the
+     * reference model(s) for its verdict and recency order.
+     * @return the twin's verdict (true on an L1 hit)
+     */
+    bool checkedTwinAccess(uint64_t addr);
+
+    /** True when the inner cache's state equals the twin's. */
+    bool innerMatchesTwin() const;
 
     void recordDivergence(uint64_t addr, const char *what);
 
@@ -172,6 +203,15 @@ class ShadowedCache : public TextureCache
     SetAssocCache *innerFlat = nullptr;
     // texlint: allow(checkpoint) downcast alias of inner, fixed at construction
     TwoLevelCache *innerTwoLevel = nullptr;
+
+    // The per-address twin and its downcast aliases (exactly one
+    // non-null, matching the inner model).
+    // texlint: allow(checkpoint) copy of inner, rebuilt by reseed() on restore
+    std::unique_ptr<TextureCache> twin;
+    // texlint: allow(checkpoint) downcast alias of twin, set by reseed()
+    SetAssocCache *twinFlat = nullptr;
+    // texlint: allow(checkpoint) downcast alias of twin, set by reseed()
+    TwoLevelCache *twinTwoLevel = nullptr;
 
     // texlint: allow(checkpoint) diagnostic label, fixed at construction
     std::string owner;

@@ -1,11 +1,15 @@
 /** @file Tests for multi-frame sequence simulation. */
 
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/interframe.hh"
 #include "core/error.hh"
 #include "core/replay.hh"
 #include "core/sequence.hh"
+#include "scene/benchmarks.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -34,6 +38,36 @@ l2Config(uint32_t procs)
     cfg.l2Geom = CacheGeometry{1024 * 1024, 8, 64};
     cfg.busTexelsPerCycle = 1.0;
     return cfg;
+}
+
+TEST(Sequence, StatsDumpReportsSetupWaitCycles)
+{
+    // The --stats-file text carries one setup_wait_cycles row per
+    // node, equal to that node's FrameResult value.
+    Scene scene = makeBenchmark("truc640", 0.125);
+    MachineConfig cfg;
+    cfg.numProcs = 2;
+    SequenceMachine machine(scene, cfg);
+    FrameResult r = machine.runFrame(scene);
+    std::ostringstream os;
+    machine.dumpStats(os);
+    const std::string text = os.str();
+
+    uint64_t total = 0;
+    ASSERT_EQ(r.nodes.size(), 2u);
+    for (size_t i = 0; i < r.nodes.size(); ++i) {
+        const std::string key =
+            "node" + std::to_string(i) + ".setup_wait_cycles ";
+        size_t at = text.find(key);
+        ASSERT_NE(at, std::string::npos) << key << "missing:\n"
+                                         << text;
+        std::istringstream row(text.substr(at + key.size()));
+        uint64_t value = 0;
+        ASSERT_TRUE(row >> value) << key;
+        EXPECT_EQ(value, r.nodes[i].setupWaitCycles) << key;
+        total += value;
+    }
+    EXPECT_GT(total, 0u) << "the scene should wait on setup somewhere";
 }
 
 TEST(Sequence, SingleFrameTieRuleCountsBurstFirst)

@@ -2,10 +2,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "cache/two_level.hh"
 #include "core/error.hh"
 #include "core/sequence.hh"
 #include "core/options.hh"
@@ -163,6 +165,60 @@ TEST(Shadow, CatchesPlantedLruSkip)
     std::vector<std::string> v = shadow.drainViolations();
     ASSERT_FALSE(v.empty());
     EXPECT_NE(v[0].find("node0"), std::string::npos) << v[0];
+}
+
+TEST(Shadow, CleanBatchesNeverDiverge)
+{
+    // Node batches go through the inner cache's accessBatch and are
+    // held to the per-address twin; an honest cache, flat or
+    // two-level, never diverges and reports the unshadowed verdicts.
+    CacheGeometry l1{16 * 1024, 4, 64};
+    CacheGeometry l2{256 * 1024, 8, 64};
+    auto run = [](std::unique_ptr<TextureCache> shadowed,
+                  std::unique_ptr<TextureCache> plain) {
+        ShadowedCache shadow(std::move(shadowed), "node0");
+        Rng rng(11);
+        std::vector<uint64_t> addrs(4096 + 1);
+        std::vector<uint8_t> got(addrs.size()), want(addrs.size());
+        for (int batch = 0; batch < 12; ++batch) {
+            for (uint64_t &a : addrs)
+                a = uint64_t(rng.uniformInt(0, 1 << 18));
+            shadow.accessBatch(addrs.data(), addrs.size(), got.data());
+            plain->accessBatch(addrs.data(), addrs.size(), want.data());
+            EXPECT_EQ(got, want);
+        }
+        EXPECT_EQ(shadow.divergences(), 0u);
+        EXPECT_EQ(shadow.accesses(), plain->accesses());
+        EXPECT_EQ(shadow.misses(), plain->misses());
+    };
+    run(std::make_unique<SetAssocCache>(l1),
+        std::make_unique<SetAssocCache>(l1));
+    for (bool inclusive : {false, true})
+        run(std::make_unique<TwoLevelCache>(l1, l2, inclusive),
+            std::make_unique<TwoLevelCache>(l1, l2, inclusive));
+}
+
+TEST(Shadow, CatchesPlantedLruSkipInsideABatch)
+{
+    // The twin never inherits the planted knob, so a skipped touch
+    // inside the batched probe shows as batch-versus-twin divergence.
+    // The stream never evicts (64 lines, one per set, revisited), so
+    // every verdict agrees and only the state comparison can see it.
+    CacheGeometry geom{16 * 1024, 4, 64};
+    auto planted = std::make_unique<SetAssocCache>(geom);
+    planted->debugPlantLruSkip(16);
+    ShadowedCache shadow(std::move(planted), "node0");
+    std::vector<uint64_t> addrs(256);
+    for (size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = (i % 64) * 64;
+    std::vector<uint8_t> miss(addrs.size());
+    shadow.accessBatch(addrs.data(), addrs.size(), miss.data());
+    EXPECT_EQ(shadow.misses(), 64u);
+    EXPECT_EQ(shadow.divergences(), 1u);
+    std::vector<std::string> v = shadow.drainViolations();
+    ASSERT_FALSE(v.empty());
+    EXPECT_NE(v[0].find("cache state after a batch"), std::string::npos)
+        << v[0];
 }
 
 TEST(Shadow, SeedsFromWarmCache)
