@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the simulator's hot paths:
  * rasterization, trilinear address generation (single and batched),
- * cache lookups (single and batched) and whole frames. These guard
+ * cache lookups (single and batched), phase-0 bucketing (of a shared
+ * raster or fused with rasterization) and whole frames. These guard
  * the simulator's own throughput (frames are hundreds of millions of
  * texel accesses), not the paper's results.
  *
@@ -20,7 +21,9 @@
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "core/frame_engine.hh"
 #include "core/machine.hh"
+#include "core/scene_raster.hh"
 #include "geom/rng.hh"
 #include "raster/raster.hh"
 #include "scene/benchmarks.hh"
@@ -346,6 +349,65 @@ BM_CacheAccessSampler(benchmark::State &state)
     reportTimePerAccess(state, int64_t(state.iterations()) * int64_t(call));
 }
 BENCHMARK(BM_CacheAccessSampler)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+/**
+ * Phase 0 of one 32massive11255 frame at scale 0.5 on a 16-node
+ * block-16 machine, serially: with a shared raster (index-bucketing
+ * a SceneRaster built outside the loop) or without (rasterize,
+ * interpolate and copy-bucket every fragment).
+ */
+void
+bucketFrame(benchmark::State &state, bool shared)
+{
+    const Scene scene = makeBenchmark("32massive11255", 0.5);
+    MachineConfig cfg;
+    cfg.numProcs = 16;
+    cfg.dist = DistKind::Block;
+    cfg.tileParam = 16;
+    std::unique_ptr<Distribution> dist = Distribution::make(
+        cfg.dist, scene.screenWidth, scene.screenHeight, cfg.numProcs,
+        cfg.tileParam, cfg.interleave);
+    std::vector<std::unique_ptr<TextureNode>> nodes;
+    for (uint32_t p = 0; p < cfg.numProcs; ++p)
+        nodes.push_back(
+            std::make_unique<TextureNode>(p, cfg, scene.textures));
+    ThreadPool serial(1);
+    std::unique_ptr<SceneRaster> raster;
+    if (shared)
+        raster = std::make_unique<SceneRaster>(scene, serial);
+    TwoPhaseFrameEngine engine(cfg, *dist, nodes, 1,
+                               FrameEntry::SingleFrame, nullptr,
+                               raster.get());
+    engine.bucketOnly(scene); // warmup: sizes every arena
+
+    uint64_t frags = 0;
+    for (auto _ : state)
+        frags += engine.bucketOnly(scene);
+    state.SetItemsProcessed(int64_t(frags));
+    state.counters["time_per_frag"] = benchmark::Counter(
+        double(frags),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void
+BM_BucketSharedRaster(benchmark::State &state)
+{
+    bucketFrame(state, true);
+}
+BENCHMARK(BM_BucketSharedRaster)
+    ->Unit(benchmark::kMillisecond)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+void
+BM_RasterizeAndBucket(benchmark::State &state)
+{
+    bucketFrame(state, false);
+}
+BENCHMARK(BM_RasterizeAndBucket)
+    ->Unit(benchmark::kMillisecond)
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

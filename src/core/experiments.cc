@@ -25,24 +25,48 @@ pixelWorkPerProc(const Scene &scene, const Distribution &dist)
     for (const TexTriangle &tri : scene.triangles) {
         const Texture &tex = scene.textures.get(tri.tex);
         TriangleRaster raster(tri, tex.width(), tex.height());
-        if (raster.degenerate())
-            continue;
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            ++work[owners[size_t(frag.y) * screen_w +
-                          size_t(frag.x)]];
+        // Only ownership counts here: walk coverage, interpolate
+        // nothing.
+        raster.cover(screen, [&](int32_t x, int32_t y) {
+            ++work[owners[size_t(y) * screen_w + size_t(x)]];
         });
     }
     return work;
 }
 
-FrameResult
-FrameLab::run(const MachineConfig &config) const
+namespace
 {
-    return runFrame(scene, config);
+
+double
+speedupOver(Tick baseline, Tick frame_time)
+{
+    return frame_time ? double(baseline) / double(frame_time) : 0.0;
 }
 
-Tick
-FrameLab::baseline(const MachineConfig &config)
+} // namespace
+
+const SceneRaster &
+FrameLab::sharedRaster(ThreadPool *pool)
+{
+    if (!raster) {
+        if (pool) {
+            raster = std::make_unique<SceneRaster>(scene, *pool);
+        } else {
+            ThreadPool serial(1);
+            raster = std::make_unique<SceneRaster>(scene, serial);
+        }
+    }
+    return *raster;
+}
+
+FrameResult
+FrameLab::run(const MachineConfig &config)
+{
+    return runFrame(scene, config, &sharedRaster(nullptr));
+}
+
+MachineConfig
+FrameLab::baselineConfig(const MachineConfig &config) const
 {
     MachineConfig base = config;
     base.numProcs = 1;
@@ -59,13 +83,19 @@ FrameLab::baseline(const MachineConfig &config)
     base.triangleBufferSize = 10000;
     base.faults = FaultPlan{};
     base.watchdogTicks = 0;
+    return base;
+}
 
+Tick
+FrameLab::baseline(const MachineConfig &config)
+{
+    const MachineConfig base = baselineConfig(config);
     std::string key = base.describe();
     auto it = baselines.find(key);
     if (it != baselines.end())
         return it->second;
 
-    Tick t1 = runFrame(scene, base).frameTime;
+    Tick t1 = run(base).frameTime;
     baselines.emplace(key, t1);
     return t1;
 }
@@ -76,10 +106,7 @@ FrameLab::runWithSpeedup(const MachineConfig &config)
     SpeedupResult out;
     out.baselineTime = baseline(config);
     out.frame = run(config);
-    out.speedup = out.frame.frameTime
-                      ? double(out.baselineTime) /
-                            double(out.frame.frameTime)
-                      : 0.0;
+    out.speedup = speedupOver(out.baselineTime, out.frame.frameTime);
     return out;
 }
 
@@ -87,35 +114,55 @@ std::vector<FrameLab::SpeedupResult>
 FrameLab::runBatch(const std::vector<MachineConfig> &configs,
                    ThreadPool &pool)
 {
-    // Warm the shared baseline cache serially; distinct configs
-    // usually share one T(1), so this is one simulation, not N.
-    std::vector<Tick> base(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i)
-        base[i] = baseline(configs[i]);
+    // Baselines not cached yet join the batch as its first tasks (a
+    // T(1) is its longest run, so it should start first); distinct
+    // configs usually share one.
+    std::vector<MachineConfig> runs;
+    std::vector<std::string> keys;
+    for (const MachineConfig &config : configs) {
+        MachineConfig base = baselineConfig(config);
+        std::string key = base.describe();
+        if (!baselines.count(key) &&
+            std::find(keys.begin(), keys.end(), key) == keys.end()) {
+            runs.push_back(base);
+            keys.push_back(key);
+        }
+    }
+    const size_t missing = runs.size();
+    runs.insert(runs.end(), configs.begin(), configs.end());
+
+    const SceneRaster &shared = sharedRaster(&pool);
+    std::vector<FrameResult> frames(runs.size());
+    // texlint: phase(isolated) each task runs a private SequenceMachine
+    // universe over the read-only shared raster; nothing crosses
+    // tasks but the per-run result slot
+    pool.parallelFor(runs.size(), [&](uint32_t, size_t i) {
+        frames[i] = runFrame(scene, runs[i], &shared);
+    });
+    for (size_t j = 0; j < missing; ++j)
+        baselines.emplace(keys[j], frames[j].frameTime);
 
     std::vector<SpeedupResult> out(configs.size());
-    // texlint: phase(isolated) each task runs a private SequenceMachine
-    // universe; nothing crosses tasks but the per-config result slot
-    pool.parallelFor(configs.size(), [&](uint32_t, size_t i) {
-        out[i].baselineTime = base[i];
-        out[i].frame = run(configs[i]);
-        out[i].speedup = out[i].frame.frameTime
-                             ? double(out[i].baselineTime) /
-                                   double(out[i].frame.frameTime)
-                             : 0.0;
-    });
+    for (size_t i = 0; i < configs.size(); ++i) {
+        out[i].baselineTime = baseline(configs[i]);
+        out[i].frame = std::move(frames[missing + i]);
+        out[i].speedup =
+            speedupOver(out[i].baselineTime, out[i].frame.frameTime);
+    }
     return out;
 }
 
 std::vector<FrameResult>
 FrameLab::runMany(const std::vector<MachineConfig> &configs,
-                  ThreadPool &pool) const
+                  ThreadPool &pool)
 {
+    const SceneRaster &shared = sharedRaster(&pool);
     std::vector<FrameResult> out(configs.size());
     // texlint: phase(isolated) each task runs a private SequenceMachine
-    // universe; nothing crosses tasks but the per-config result slot
+    // universe over the read-only shared raster; nothing crosses
+    // tasks but the per-config result slot
     pool.parallelFor(configs.size(), [&](uint32_t, size_t i) {
-        out[i] = run(configs[i]);
+        out[i] = runFrame(scene, configs[i], &shared);
     });
     return out;
 }

@@ -13,11 +13,13 @@
 #define TEXDIST_CORE_EXPERIMENTS_HH
 
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/machine.hh"
+#include "core/scene_raster.hh"
 #include "scene/scene.hh"
 #include "sim/thread_pool.hh"
 
@@ -39,6 +41,11 @@ std::vector<uint64_t> pixelWorkPerProc(const Scene &scene,
  * (T(1) uses the same node parameters — cache, bus, setup,
  * prefetch — with an ideal triangle buffer). Every run is a cold
  * single frame (runFrame) on a machine of its own.
+ *
+ * The lab rasterizes its scene once, on first use, into a
+ * SceneRaster that every run then buckets read-only: runs differ
+ * only in how they distribute the same fragments, so results are
+ * identical to runFrame on the bare scene.
  */
 class FrameLab
 {
@@ -46,7 +53,7 @@ class FrameLab
     explicit FrameLab(const Scene &scene_) : scene(scene_) {}
 
     /** Simulate one configuration. */
-    FrameResult run(const MachineConfig &config) const;
+    FrameResult run(const MachineConfig &config);
 
     /** T(1) for the node parameters of @p config (cached). */
     Tick baseline(const MachineConfig &config);
@@ -64,11 +71,12 @@ class FrameLab
 
     /**
      * Simulate a batch of configurations on @p pool, one config per
-     * worker, each on a private single-frame SequenceMachine.
-     * Baselines are warmed serially first (the cache is shared); the
-     * runs themselves are independent simulations, so results are
-     * identical to calling runWithSpeedup() in a loop — only the
-     * wall-clock time changes.
+     * worker, each on a private single-frame SequenceMachine. The
+     * scene is rasterized on the pool first (once per lab), and the
+     * baselines not cached yet run as the batch's first tasks. The
+     * runs are independent simulations, so results are identical to
+     * calling runWithSpeedup() in a loop — only the wall-clock time
+     * changes.
      */
     std::vector<SpeedupResult>
     runBatch(const std::vector<MachineConfig> &configs,
@@ -77,12 +85,22 @@ class FrameLab
     /** Like runBatch() but without the speedup denominators. */
     std::vector<FrameResult>
     runMany(const std::vector<MachineConfig> &configs,
-            ThreadPool &pool) const;
+            ThreadPool &pool);
 
     const Scene &frameScene() const { return scene; }
 
   private:
+    /**
+     * The lab's rasterization, built at first use on @p pool (or
+     * serially when null).
+     */
+    const SceneRaster &sharedRaster(ThreadPool *pool);
+
+    /** The T(1) machine for the node parameters of @p config. */
+    MachineConfig baselineConfig(const MachineConfig &config) const;
+
     const Scene &scene;
+    std::unique_ptr<SceneRaster> raster;
     std::map<std::string, Tick> baselines;
 };
 

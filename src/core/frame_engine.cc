@@ -9,48 +9,22 @@
 namespace texdist
 {
 
-const NodeFragment *
-TwoPhaseFrameEngine::FragmentArena::store(const NodeFragment *src,
-                                          size_t n)
-{
-    if (n == 0)
-        return nullptr;
-    if (blocks.empty()) {
-        blocks.emplace_back();
-        blocks.back().reserve(std::max(chunkFrags, n));
-    }
-    while (blocks[active].size() + n > blocks[active].capacity()) {
-        ++active;
-        if (active == blocks.size()) {
-            blocks.emplace_back();
-            blocks.back().reserve(std::max(chunkFrags, n));
-        }
-    }
-    std::vector<NodeFragment> &block = blocks[active];
-    const NodeFragment *out = block.data() + block.size();
-    block.insert(block.end(), src, src + n);
-    return out;
-}
-
-void
-TwoPhaseFrameEngine::FragmentArena::reset()
-{
-    for (std::vector<NodeFragment> &block : blocks)
-        block.clear();
-    active = 0;
-}
-
 TwoPhaseFrameEngine::TwoPhaseFrameEngine(
     const MachineConfig &config, const Distribution &dist_,
     std::vector<std::unique_ptr<TextureNode>> &nodes_, uint32_t jobs,
-    FrameEntry entry, const SortLastConfig *sort_last)
+    FrameEntry entry, const SortLastConfig *sort_last,
+    const SceneRaster *raster_)
     : cfg(config), dist(dist_), nodes(nodes_), frameEntry(entry),
-      sortLast(sort_last), pool(std::max(1u, jobs)),
+      sortLast(sort_last), raster(raster_), pool(std::max(1u, jobs)),
       workers(pool.threads()), lanes(nodes_.size()),
       occupancy(nodes_.size(), Histogram{8.0, 64})
 {
-    for (WorkerCtx &w : workers)
-        w.buckets.resize(dist.numProcs());
+    for (WorkerCtx &w : workers) {
+        if (raster)
+            w.idxBuckets.resize(dist.numProcs());
+        else
+            w.buckets.resize(dist.numProcs());
+    }
 }
 
 // texlint: phase(serial) per-frame reset and phase 0
@@ -59,9 +33,13 @@ TwoPhaseFrameEngine::beginFrame(const Scene &scene, Tick frame_start,
                                 FrameEngineResult &res)
 {
     const size_t ntris = scene.triangles.size();
+    if (raster && &raster->scene() != &scene)
+        texdist_panic("frame ", scene.name, " is not the scene the "
+                      "engine's shared raster was built from");
     slots.assign(ntris, TriSlot{});
     for (WorkerCtx &w : workers) {
         w.arena.reset();
+        w.idxArena.reset();
         w.entries.clear();
     }
     for (size_t p = 0; p < lanes.size(); ++p) {
@@ -96,27 +74,12 @@ TwoPhaseFrameEngine::beginFrame(const Scene &scene, Tick frame_start,
     });
 }
 
-// texlint: phase(parallel) phase-0 task body: triangle t is this
-// task's private slot; all scratch is indexed by this worker's id
-void
-TwoPhaseFrameEngine::rasterizeOne(const Scene &scene, uint32_t worker,
-                                  size_t t)
+// texlint: phase(any) pure function of the immutable distribution
+// and the worker's own scratch
+bool
+TwoPhaseFrameEngine::findTargets(WorkerCtx &ctx, size_t t,
+                                 const Rect &bbox) const
 {
-    WorkerCtx &ctx = workers[worker];
-    TriSlot &slot = slots[t];
-    slot.worker = worker;
-
-    const TexTriangle &tri = scene.triangles[t];
-    const Texture &tex = scene.textures.get(tri.tex);
-    TriangleRaster raster(tri, tex.width(), tex.height());
-
-    if (raster.degenerate()) {
-        slot.kind = TriKind::Degenerate;
-        return;
-    }
-
-    Rect screen = scene.screenRect();
-    Rect bbox = raster.bbox().intersect(screen);
     ctx.targets.clear();
     if (sortLast) {
         // Sort-last: the whole triangle goes to its owner node.
@@ -130,46 +93,99 @@ TwoPhaseFrameEngine::rasterizeOne(const Scene &scene, uint32_t worker,
     } else {
         dist.overlappingProcs(bbox, ctx.scratch, ctx.targets);
     }
-    if (ctx.targets.empty()) {
-        slot.kind = TriKind::Culled;
-        return;
-    }
+    return !ctx.targets.empty();
+}
 
-    // Rasterize once and bucket the fragments by destination. Under
-    // sort-middle every fragment lies inside bbox, so its owner is
-    // one of `targets` and only those buckets need clearing.
-    auto node_fragment = [](const Fragment &frag) {
-        return NodeFragment{uint16_t(frag.x), uint16_t(frag.y), frag.u,
-                            frag.v, frag.lod};
-    };
-    if (sortLast) {
-        std::vector<NodeFragment> &bucket =
-            ctx.buckets[ctx.targets.front()];
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            bucket.push_back(node_fragment(frag));
-        });
-    } else {
-        const std::vector<uint16_t> &owners = dist.ownerMap();
-        const uint32_t screen_w = dist.screenWidth();
-        raster.rasterize(screen, [&](const Fragment &frag) {
-            ctx.buckets[owners[size_t(frag.y) * screen_w +
-                               size_t(frag.x)]]
-                .push_back(node_fragment(frag));
-        });
-    }
-
-    slot.kind = TriKind::Normal;
+// texlint: phase(parallel) phase-0 task body: triangle t is this
+// task's private slot; all scratch is indexed by this worker's id
+void
+TwoPhaseFrameEngine::rasterizeOne(const Scene &scene, uint32_t worker,
+                                  size_t t)
+{
+    WorkerCtx &ctx = workers[worker];
+    TriSlot &slot = slots[t];
+    slot.worker = worker;
     slot.entryBegin = uint32_t(ctx.entries.size());
-    slot.entryCount = uint32_t(ctx.targets.size());
-    for (uint32_t p : ctx.targets) {
-        std::vector<NodeFragment> &bucket = ctx.buckets[p];
-        StreamEntry entry;
-        entry.dest = p;
-        entry.count = uint32_t(bucket.size());
-        entry.frags = ctx.arena.store(bucket.data(), bucket.size());
-        ctx.entries.push_back(entry);
-        bucket.clear();
+    // Under sort-middle every fragment lies inside the clipped box,
+    // so its owner is one of `targets` and only those buckets fill.
+    const std::vector<uint16_t> &owners = dist.ownerMap();
+    const uint32_t screen_w = dist.screenWidth();
+    auto owner = [&](uint32_t x, uint32_t y) {
+        return owners[size_t(y) * screen_w + size_t(x)];
+    };
+
+    if (raster) {
+        // Bucket the shared rasterization by index. One target
+        // takes the triangle's fragments whole.
+        const SceneRaster::Tri &tri = raster->tri(t);
+        if (tri.degenerate) {
+            slot.kind = TriKind::Degenerate;
+            return;
+        }
+        if (!findTargets(ctx, t, tri.bbox)) {
+            slot.kind = TriKind::Culled;
+            return;
+        }
+        if (ctx.targets.size() == 1) {
+            ctx.entries.push_back(StreamEntry{
+                ctx.targets.front(),
+                FragmentView{tri.frags, nullptr, tri.count}});
+        } else {
+            for (uint32_t i = 0; i < tri.count; ++i)
+                ctx.idxBuckets[owner(tri.frags[i].x, tri.frags[i].y)]
+                    .push_back(i);
+            for (uint32_t p : ctx.targets) {
+                std::vector<uint32_t> &bucket = ctx.idxBuckets[p];
+                ctx.entries.push_back(StreamEntry{
+                    p, FragmentView{tri.frags,
+                                    ctx.idxArena.store(bucket.data(),
+                                                       bucket.size()),
+                                    uint32_t(bucket.size())}});
+                bucket.clear();
+            }
+        }
+    } else {
+        // Rasterize once and copy the fragments into their
+        // destinations' buckets.
+        const TexTriangle &tri = scene.triangles[t];
+        const Texture &tex = scene.textures.get(tri.tex);
+        TriangleRaster tri_raster(tri, tex.width(), tex.height());
+        if (tri_raster.degenerate()) {
+            slot.kind = TriKind::Degenerate;
+            return;
+        }
+        const Rect screen = scene.screenRect();
+        if (!findTargets(ctx, t, tri_raster.bbox().intersect(screen))) {
+            slot.kind = TriKind::Culled;
+            return;
+        }
+        auto node_fragment = [](const Fragment &frag) {
+            return NodeFragment{uint16_t(frag.x), uint16_t(frag.y),
+                                frag.u, frag.v, frag.lod};
+        };
+        if (sortLast) {
+            std::vector<NodeFragment> &bucket =
+                ctx.buckets[ctx.targets.front()];
+            tri_raster.rasterize(screen, [&](const Fragment &frag) {
+                bucket.push_back(node_fragment(frag));
+            });
+        } else {
+            tri_raster.rasterize(screen, [&](const Fragment &frag) {
+                ctx.buckets[owner(uint32_t(frag.x), uint32_t(frag.y))]
+                    .push_back(node_fragment(frag));
+            });
+        }
+        for (uint32_t p : ctx.targets) {
+            std::vector<NodeFragment> &bucket = ctx.buckets[p];
+            ctx.entries.push_back(StreamEntry{
+                p, FragmentView{ctx.arena.store(bucket.data(),
+                                                bucket.size()),
+                                nullptr, uint32_t(bucket.size())}});
+            bucket.clear();
+        }
     }
+    slot.kind = TriKind::Normal;
+    slot.entryCount = uint32_t(ctx.entries.size()) - slot.entryBegin;
 }
 
 // texlint: phase(any) pure function of one task-owned lane and the
@@ -227,8 +243,7 @@ TwoPhaseFrameEngine::consumeOne(Lane &lane, TextureNode &node)
         ++lane.nextAction;
     }
     lane.sched.push_back(nextPopSched(lane));
-    start = node.consumeDirect(tri.push, tri.tex, tri.frags,
-                               tri.count);
+    start = node.consumeDirect(tri.push, tri.tex, tri.frags);
     lane.starts.push_back(start);
     ++lane.next;
     return start;
@@ -605,9 +620,8 @@ TwoPhaseFrameEngine::push(const Scene &scene, size_t t,
     const size_t k = entry_end - entry_begin;
     if (!rerouted) {
         for (size_t e = entry_begin; e < entry_end; ++e)
-            lanes[entries[e].dest].stream.push_back(LaneTri{
-                feed.now, tex, entries[e].frags, entries[e].count,
-                feed.burst});
+            lanes[entries[e].dest].stream.push_back(
+                LaneTri{feed.now, tex, entries[e].frags, feed.burst});
         return;
     }
     // When several targets map to one destination (a dead node and
@@ -617,7 +631,7 @@ TwoPhaseFrameEngine::push(const Scene &scene, size_t t,
         const StreamEntry &entry = entries[entry_begin + i];
         const uint32_t d = feed.dests[i];
         if (d != entry.dest)
-            feed.res->faultStats.fragmentsRerouted += entry.count;
+            feed.res->faultStats.fragmentsRerouted += entry.frags.count;
         bool first = true;
         bool shared = false;
         for (size_t j = 0; j < k; ++j) {
@@ -628,17 +642,20 @@ TwoPhaseFrameEngine::push(const Scene &scene, size_t t,
         }
         if (!first)
             continue;
-        LaneTri tri{feed.now, tex, entry.frags, entry.count, feed.burst};
+        LaneTri tri{feed.now, tex, entry.frags, feed.burst};
         if (shared) {
+            // Copy through the views, so contiguous runs and index
+            // lists fold alike.
             feed.fold.clear();
             for (size_t j = i; j < k; ++j) {
-                const StreamEntry &part = entries[entry_begin + j];
+                const FragmentView &part = entries[entry_begin + j].frags;
                 if (feed.dests[j] == d)
-                    feed.fold.insert(feed.fold.end(), part.frags,
-                                     part.frags + part.count);
+                    for (uint32_t f = 0; f < part.count; ++f)
+                        feed.fold.push_back(part[f]);
             }
-            tri.frags = foldArena.store(feed.fold.data(), feed.fold.size());
-            tri.count = uint32_t(feed.fold.size());
+            tri.frags = FragmentView{
+                foldArena.store(feed.fold.data(), feed.fold.size()),
+                nullptr, uint32_t(feed.fold.size())};
         }
         lanes[d].stream.push_back(tri);
     }
@@ -908,6 +925,19 @@ TwoPhaseFrameEngine::runFrame(
     return res;
 }
 
+// texlint: phase(serial) benchmark entry point for phase 0 alone
+uint64_t
+TwoPhaseFrameEngine::bucketOnly(const Scene &scene)
+{
+    FrameEngineResult res;
+    beginFrame(scene, 0, res);
+    uint64_t frags = 0;
+    for (const WorkerCtx &w : workers)
+        for (const StreamEntry &entry : w.entries)
+            frags += entry.frags.count;
+    return frags;
+}
+
 // texlint: phase(serial) sampled-mode orchestrator, serial-only
 FrameEngineResult
 TwoPhaseFrameEngine::runFrameFunctional(const Scene &scene)
@@ -926,7 +956,7 @@ TwoPhaseFrameEngine::runFrameFunctional(const Scene &scene)
     pool.parallelFor(nodes.size(), [&](uint32_t, size_t p) {
         TextureNode &node = *nodes[p];
         for (const LaneTri &tri : lanes[p].stream)
-            node.functionalScan(tri.tex, tri.frags, tri.count);
+            node.functionalScan(tri.tex, tri.frags);
     });
     return res;
 }

@@ -13,7 +13,11 @@
  *  - Phase 0 (parallel): rasterize every triangle and bucket its
  *    fragments by owning processor (sort-middle) or deal it whole
  *    to one node (sort-last). Rasterization has no timing inputs,
- *    so triangles fan out over the worker pool.
+ *    so triangles fan out over the worker pool. Given a SceneRaster
+ *    (one rasterization shared by every config of a batch), phase 0
+ *    only buckets: each target's share is a list of indices into
+ *    the triangle's shared fragments, and a triangle with one
+ *    target takes them whole, copying nothing.
  *  - Phase 1 (serial, cheap): replay the feeder's timing — geometry
  *    engines, dispatch-rate credit, FIFO back-pressure — and the
  *    tick-known actions that couple nodes: fifo-freeze (a lane with
@@ -37,13 +41,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/distribution.hh"
 #include "core/node.hh"
+#include "core/scene_raster.hh"
 #include "core/sortlast.hh"
 #include "scene/scene.hh"
 #include "sim/thread_pool.hh"
@@ -129,12 +133,16 @@ class TwoPhaseFrameEngine
      * @param sort_last deal whole triangles per this config instead
      *        of bucketing fragments by screen owner; null for
      *        sort-middle
+     * @param raster a shared rasterization of the one scene every
+     *        frame will render (it must outlive the engine); null
+     *        rasterizes each frame in phase 0
      */
     TwoPhaseFrameEngine(
         const MachineConfig &config, const Distribution &dist,
         std::vector<std::unique_ptr<TextureNode>> &nodes,
         uint32_t jobs, FrameEntry entry,
-        const SortLastConfig *sort_last);
+        const SortLastConfig *sort_last,
+        const SceneRaster *raster = nullptr);
 
     /**
      * Simulate one frame starting at @p frame_start.
@@ -156,6 +164,14 @@ class TwoPhaseFrameEngine
      */
     FrameEngineResult runFrameFunctional(const Scene &scene);
 
+    /**
+     * Run phase 0 of a frame of @p scene alone — rasterize and
+     * bucket, or bucket the shared raster — and return the number of
+     * fragments bucketed: the layer benchmark of phase 0. Changes no
+     * node; the next frame starts afresh.
+     */
+    uint64_t bucketOnly(const Scene &scene);
+
     uint32_t jobs() const { return pool.threads(); }
 
     /**
@@ -165,32 +181,11 @@ class TwoPhaseFrameEngine
     Histogram dispatchOccupancy() const;
 
   private:
-    /**
-     * Bump-allocates fragment arrays in large reusable blocks so a
-     * frame's rasterization does one allocation per ~64K fragments
-     * instead of one per (triangle, node) bucket. Pointers stay
-     * valid until reset(): blocks never reallocate (inserts stay
-     * within reserved capacity) and reset() only rewinds sizes.
-     */
-    // texlint: owned-by-task
-    class FragmentArena
-    {
-      public:
-        const NodeFragment *store(const NodeFragment *src, size_t n);
-        void reset();
-
-      private:
-        static constexpr size_t chunkFrags = size_t(1) << 16;
-        std::deque<std::vector<NodeFragment>> blocks;
-        size_t active = 0;
-    };
-
     /** Phase-0 output: one node's share of one triangle. */
     struct StreamEntry
     {
         uint32_t dest = 0;
-        uint32_t count = 0;
-        const NodeFragment *frags = nullptr;
+        FragmentView frags;
     };
 
     enum class TriKind : uint8_t { Normal, Degenerate, Culled };
@@ -208,11 +203,13 @@ class TwoPhaseFrameEngine
     // texlint: owned-by-task
     struct WorkerCtx
     {
-        FragmentArena arena;
+        BumpArena<NodeFragment> arena; ///< rasterized here
+        BumpArena<uint32_t> idxArena;  ///< indices into a SceneRaster
         std::vector<StreamEntry> entries;
         OverlapScratch scratch;
         std::vector<uint32_t> targets;
         std::vector<std::vector<NodeFragment>> buckets;
+        std::vector<std::vector<uint32_t>> idxBuckets;
     };
 
     /** One triangle of a node's materialized stream. */
@@ -220,8 +217,7 @@ class TwoPhaseFrameEngine
     {
         Tick push = 0;
         TextureId tex = 0;
-        const NodeFragment *frags = nullptr;
-        uint32_t count = 0;
+        FragmentView frags;
         /** Dispatch burst that pushed it; 0 = a kill's migration. */
         uint32_t burst = 0;
     };
@@ -296,6 +292,12 @@ class TwoPhaseFrameEngine
                     FrameEngineResult &res);
     void rasterizeOne(const Scene &scene, uint32_t worker,
                       size_t tri);
+    /**
+     * Fill ctx.targets with the destinations of triangle @p t, whose
+     * screen-clipped box is @p bbox.
+     * @return false when it has none (culled)
+     */
+    bool findTargets(WorkerCtx &ctx, size_t t, const Rect &bbox) const;
     Tick consumeOne(Lane &lane, TextureNode &node);
     void applyAction(TextureNode &node,
                      const EngineFaultAction &action);
@@ -371,6 +373,8 @@ class TwoPhaseFrameEngine
     const FrameEntry frameEntry;
     // texlint: shared(immutable sort-last dealing, read-only)
     const SortLastConfig *sortLast;
+    // texlint: shared(read-only rasterization of the one scene)
+    const SceneRaster *raster;
     // texlint: shared(tasks are only ever submitted from serial code)
     ThreadPool pool;
     // texlint: owned-by-task
@@ -384,7 +388,7 @@ class TwoPhaseFrameEngine
     // texlint: shared(written only by serial phase 1, read in phase 2)
     std::vector<Burst> bursts;
     // texlint: owned-by-task
-    FragmentArena foldArena; ///< phase-1 buffers of folded buckets
+    BumpArena<NodeFragment> foldArena; ///< phase-1 folded buckets
     // texlint: owned-by-task
     Feed feed;
 };

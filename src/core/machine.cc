@@ -28,10 +28,11 @@ imbalancePercent(const std::vector<uint64_t> &values)
 // be called from serial code (or an isolated task that owns its
 // private universe)
 FrameResult
-runFrame(const Scene &scene, const MachineConfig &config)
+runFrame(const Scene &scene, const MachineConfig &config,
+         const SceneRaster *raster)
 {
-    SequenceMachine machine(scene, config, 1,
-                            FrameEntry::SingleFrame);
+    SequenceMachine machine(scene, config, 1, FrameEntry::SingleFrame,
+                            nullptr, raster);
     return machine.runFrame(scene);
 }
 

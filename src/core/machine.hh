@@ -111,12 +111,17 @@ struct FrameResult
 /** (max - mean) / mean in percent; 0 for empty or all-zero input. */
 double imbalancePercent(const std::vector<uint64_t> &values);
 
+class SceneRaster;
+
 /**
  * Build a machine and run one frame of @p scene on it, cold. Single
  * frames report the FIFO high-water mark under the single-frame tie
  * rule (see FrameEntry).
+ * @param raster a shared rasterization of @p scene to bucket instead
+ *        of rasterizing (same result); null rasterizes
  */
-FrameResult runFrame(const Scene &scene, const MachineConfig &config);
+FrameResult runFrame(const Scene &scene, const MachineConfig &config,
+                     const SceneRaster *raster = nullptr);
 
 } // namespace texdist
 

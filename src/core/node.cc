@@ -80,10 +80,10 @@ TextureNode::stallBus(Tick from, Tick until)
 }
 
 Tick
-TextureNode::scanFragments(TextureId texid,
-                           const NodeFragment *frags, size_t count,
+TextureNode::scanFragments(TextureId texid, const FragmentView &frags,
                            Tick start)
 {
+    const size_t count = frags.count;
     Tick cpu = start;
     // A slowed node (slow-node fault) takes `_slowdown` cycles per
     // fragment instead of one, as if its clock were divided.
@@ -112,7 +112,7 @@ TextureNode::scanFragments(TextureId texid,
         // Planted texel leak: the triangle's very first texel
         // reference bypasses the cache, unbalancing the
         // accesses-per-pixel ledger for the oracle to notice.
-        probeChunk(tex, frags + base, m, _plantTexelLeak && base == 0,
+        probeChunk(tex, frags, base, m, _plantTexelLeak && base == 0,
                    miss);
 
         for (size_t i = 0; i < m; ++i) {
@@ -146,8 +146,9 @@ TextureNode::scanFragments(TextureId texid,
 }
 
 void
-TextureNode::probeChunk(const Texture &tex, const NodeFragment *frags,
-                        size_t m, bool skip_first, uint8_t *miss)
+TextureNode::probeChunk(const Texture &tex, const FragmentView &frags,
+                        size_t base, size_t m, bool skip_first,
+                        uint8_t *miss)
 {
     if (uScratch.size() < m) {
         uScratch.resize(m);
@@ -156,9 +157,10 @@ TextureNode::probeChunk(const Texture &tex, const NodeFragment *frags,
         addrScratch.resize(m * size_t(texelsPerFragment));
     }
     for (size_t i = 0; i < m; ++i) {
-        uScratch[i] = frags[i].u;
-        vScratch[i] = frags[i].v;
-        lodScratch[i] = frags[i].lod;
+        const NodeFragment &frag = frags[base + i];
+        uScratch[i] = frag.u;
+        vScratch[i] = frag.v;
+        lodScratch[i] = frag.lod;
     }
     TrilinearSampler::generateBatch(tex, uScratch.data(),
                                     vScratch.data(), lodScratch.data(),
@@ -175,9 +177,9 @@ TextureNode::probeChunk(const Texture &tex, const NodeFragment *frags,
 // texlint: phase(parallel) runs inside a drain task that owns this
 // node outright; touches no state outside the node
 void
-TextureNode::functionalScan(TextureId texid,
-                            const NodeFragment *frags, size_t count)
+TextureNode::functionalScan(TextureId texid, const FragmentView &frags)
 {
+    const size_t count = frags.count;
     if (_dead || _frozen)
         texdist_panic(name(), ": functionalScan on a dead or frozen "
                       "node");
@@ -196,7 +198,7 @@ TextureNode::functionalScan(TextureId texid,
     const Texture &tex = textures.get(texid);
     uint8_t miss[chunk * texelsPerFragment];
     for (size_t base = 0; base < count; base += chunk)
-        probeChunk(tex, frags + base, std::min(chunk, count - base),
+        probeChunk(tex, frags, base, std::min(chunk, count - base),
                    false, miss);
 }
 
@@ -204,8 +206,9 @@ TextureNode::functionalScan(TextureId texid,
 // node outright; touches no state outside the node
 Tick
 TextureNode::consumeDirect(Tick push_tick, TextureId tex,
-                           const NodeFragment *frags, size_t count)
+                           const FragmentView &frags)
 {
+    const size_t count = frags.count;
     if (_dead)
         texdist_panic(name(), ": consumeDirect on a dead node");
     Tick start = nextStart(push_tick);
@@ -224,7 +227,7 @@ TextureNode::consumeDirect(Tick push_tick, TextureId tex,
         }
     }
 
-    Tick scan_end = scanFragments(tex, frags, count, start);
+    Tick scan_end = scanFragments(tex, frags, start);
     Tick setup_end = start + Tick(cfg.setupCyclesPerTriangle) * _slowdown;
     if (scan_end < setup_end) {
         // Fewer pixels than the setup engine needs cycles: the

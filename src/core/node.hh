@@ -48,6 +48,26 @@ struct NodeFragment
 };
 
 /**
+ * A node's share of one triangle: `count` fragments in raster order,
+ * frags[idx[i]] — or frags[i] when idx is null (a contiguous run).
+ * Index entries let every config of a batch select its fragments
+ * from one shared, read-only rasterization (SceneRaster) instead of
+ * copying them.
+ */
+struct FragmentView
+{
+    const NodeFragment *frags = nullptr;
+    const uint32_t *idx = nullptr;
+    uint32_t count = 0;
+
+    const NodeFragment &
+    operator[](size_t i) const
+    {
+        return idx ? frags[idx[i]] : frags[i];
+    }
+};
+
+/**
  * One triangle FIFO entry: the node's share of a triangle. The
  * frame engine streams triangles straight into the node, so the
  * FIFO itself only keeps the occupancy high-water mark; entries
@@ -88,7 +108,7 @@ class TextureNode : public SimObject
      * @return the start tick, i.e. when the triangle left the FIFO
      */
     Tick consumeDirect(Tick push_tick, TextureId tex,
-                       const NodeFragment *frags, size_t count);
+                       const FragmentView &frags);
 
     /**
      * Fold the FIFO occupancy high-water computed by the frame
@@ -106,8 +126,7 @@ class TextureNode : public SimObject
      * prefetch ring, stall/idle accounting and the bus are untouched.
      * Work counters (triangles, pixels) advance as in detailed mode.
      */
-    void functionalScan(TextureId tex, const NodeFragment *frags,
-                        size_t count);
+    void functionalScan(TextureId tex, const FragmentView &frags);
 
     /** Tick at which this node has fully finished (idle + retired). */
     Tick finishTime() const;
@@ -254,19 +273,21 @@ class TextureNode : public SimObject
     static constexpr size_t chunk = 512;
 
     /** Scan one triangle's fragments starting at @p start. */
-    Tick scanFragments(TextureId tex, const NodeFragment *frags,
-                       size_t count, Tick start);
+    Tick scanFragments(TextureId tex, const FragmentView &frags,
+                       Tick start);
 
     /**
-     * Generate the texel addresses of @p m <= chunk fragments and
-     * probe them with one TextureCache::accessBatch call:
+     * Generate the texel addresses of fragments [base, base + m) of
+     * @p frags (m <= chunk) and probe them with one
+     * TextureCache::accessBatch call:
      * miss[8 * f + k] receives the verdict of fragment f's texel
      * reference k (1 = miss). @p skip_first withholds the first
      * reference from the cache (the planted texel leak) and reports
      * it as a hit.
      */
-    void probeChunk(const Texture &tex, const NodeFragment *frags,
-                    size_t m, bool skip_first, uint8_t *miss);
+    void probeChunk(const Texture &tex, const FragmentView &frags,
+                    size_t base, size_t m, bool skip_first,
+                    uint8_t *miss);
 
     uint32_t nodeId;
     // texlint: allow(checkpoint) construction state; restore validates

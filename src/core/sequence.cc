@@ -11,9 +11,10 @@ namespace texdist
 SequenceMachine::SequenceMachine(
     const Scene &first_frame, const MachineConfig &config,
     uint32_t host_jobs, FrameEntry entry,
-    std::unique_ptr<Distribution> distribution)
+    std::unique_ptr<Distribution> distribution,
+    const SceneRaster *raster)
     : SequenceMachine(first_frame, config, host_jobs, entry,
-                      std::move(distribution), nullptr)
+                      std::move(distribution), nullptr, raster)
 {
 }
 
@@ -21,7 +22,7 @@ SequenceMachine::SequenceMachine(
     const Scene &first_frame, const MachineConfig &config,
     uint32_t host_jobs, FrameEntry entry,
     std::unique_ptr<Distribution> distribution,
-    const SortLastConfig *sort_last)
+    const SortLastConfig *sort_last, const SceneRaster *raster)
     : cfg(config), sortLast(sort_last ? *sort_last : SortLastConfig{}),
       dist(std::move(distribution)), faultRng(config.faults.seed)
 {
@@ -41,7 +42,7 @@ SequenceMachine::SequenceMachine(
     snapshots.resize(cfg.numProcs);
     engine = std::make_unique<TwoPhaseFrameEngine>(
         cfg, *dist, nodes, host_jobs, entry,
-        sort_last ? &sortLast : nullptr);
+        sort_last ? &sortLast : nullptr, raster);
 }
 
 namespace
@@ -65,7 +66,7 @@ SequenceMachine::SequenceMachine(const Scene &first_frame,
                                  uint32_t host_jobs)
     : SequenceMachine(first_frame, validSortLast(config).node,
                       host_jobs, FrameEntry::SingleFrame, nullptr,
-                      &config)
+                      &config, nullptr)
 {
 }
 

@@ -66,12 +66,16 @@ class SequenceMachine
      *        (e.g. a MappedBlockDistribution from the oracle
      *        balancer) matching the frame and the processor count;
      *        null builds the configured one
+     * @param raster a shared rasterization of @p first_frame, the
+     *        only frame the machine may then run (see SceneRaster);
+     *        null rasterizes every frame itself
      */
     SequenceMachine(const Scene &first_frame,
                     const MachineConfig &config,
                     uint32_t host_jobs = 1,
                     FrameEntry entry = FrameEntry::Sequence,
-                    std::unique_ptr<Distribution> distribution = nullptr);
+                    std::unique_ptr<Distribution> distribution = nullptr,
+                    const SceneRaster *raster = nullptr);
 
     /**
      * A sort-last machine: whole triangles are dealt to the nodes
@@ -157,7 +161,8 @@ class SequenceMachine
                     const MachineConfig &config, uint32_t host_jobs,
                     FrameEntry entry,
                     std::unique_ptr<Distribution> distribution,
-                    const SortLastConfig *sort_last);
+                    const SortLastConfig *sort_last,
+                    const SceneRaster *raster);
 
     /**
      * Build the per-frame fault plan as engine actions: fault ticks

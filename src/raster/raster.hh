@@ -64,20 +64,22 @@ class TriangleRaster
     double areaPixels() const { return _areaPixels; }
 
     /**
-     * Scan all pixels whose centre is covered, restricted to
-     * @p scissor, emitting fragments in raster order (y-major).
+     * Visit every pixel whose centre is covered, restricted to
+     * @p scissor, in raster order (y-major), without interpolating
+     * anything — for callers that only need to know which pixels a
+     * triangle covers.
      *
      * Coverage is computed a span at a time into a bitmask by
      * rowCoverage() (scalar or AVX2, bit-identical either way) and
-     * then walked bit by bit, so interpolate()/emit() run for
-     * exactly the covered pixels, in exactly the order the
-     * pixel-by-pixel loop produced.
+     * then walked bit by bit, so visit() runs for exactly the
+     * covered pixels, in exactly the order the pixel-by-pixel loop
+     * produced.
      *
-     * @tparam Emit callable as emit(const Fragment &)
+     * @tparam Visit callable as visit(int32_t x, int32_t y)
      */
-    template <typename Emit>
+    template <typename Visit>
     void
-    rasterize(const Rect &scissor, Emit &&emit) const
+    cover(const Rect &scissor, Visit &&visit) const
     {
         if (_degenerate)
             return;
@@ -85,7 +87,6 @@ class TriangleRaster
         if (r.empty())
             return;
 
-        Fragment frag;
         uint64_t bits[coverageWords];
         int32_t width = r.x1 - r.x0;
         for (int32_t y = r.y0; y < r.y1; ++y) {
@@ -100,14 +101,30 @@ class TriangleRaster
                     while (m) {
                         int b = std::countr_zero(m);
                         m &= m - 1;
-                        frag.x = r.x0 + cx + w * 64 + b;
-                        frag.y = y;
-                        interpolate(frag.x, frag.y, frag);
-                        emit(frag);
+                        visit(r.x0 + cx + w * 64 + b, y);
                     }
                 }
             }
         }
+    }
+
+    /**
+     * Scan all pixels whose centre is covered, restricted to
+     * @p scissor, emitting interpolated fragments in cover() order.
+     *
+     * @tparam Emit callable as emit(const Fragment &)
+     */
+    template <typename Emit>
+    void
+    rasterize(const Rect &scissor, Emit &&emit) const
+    {
+        Fragment frag;
+        cover(scissor, [&](int32_t x, int32_t y) {
+            frag.x = x;
+            frag.y = y;
+            interpolate(x, y, frag);
+            emit(frag);
+        });
     }
 
     /** Number of covered pixels inside @p scissor. */

@@ -8,9 +8,10 @@
  * configurations — the seed scenes at scale 0.125 under block and
  * SLI distributions, several machine sizes and FIFO depths, the
  * geometry stage, L2s, a perfect cache, every fault kind, the
- * watchdog policies, sort-last and a checkpointed pan — to the
- * per-frame FNV digest and the fault and imbalance counters, and
- * compares against the committed table.
+ * watchdog policies, sort-last, a checkpointed pan and the Figure 7
+ * grid run through FrameLab::runBatch (which buckets one shared
+ * rasterization) — to the per-frame FNV digest and the fault and
+ * imbalance counters, and compares against the committed table.
  *
  *   ledger --check=<tsv>   recompute and diff; exit 1 on any change
  *   ledger --write=<tsv>   regenerate (a deliberate behaviour change)
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "core/error.hh"
+#include "core/experiments.hh"
 #include "core/interframe.hh"
 #include "core/options.hh"
 #include "core/replay.hh"
@@ -45,7 +47,14 @@ struct Row
 {
     std::string key;
     std::vector<std::string> args;
-    enum class Kind { Frame, SortLast, Pan } kind = Kind::Frame;
+    enum class Kind { Frame, SortLast, Pan, Fig7Batch } kind = Kind::Frame;
+};
+
+/** One ledger line: a suffix to the row key, and its columns. */
+struct Line
+{
+    std::string suffix;
+    std::string columns;
 };
 
 std::vector<std::string>
@@ -108,6 +117,7 @@ ledgerRows()
         add(scene, "--procs=16 sortlast=chunked", Row::Kind::SortLast);
     }
     add("quake", base + " frames=3 pan=8", Row::Kind::Pan);
+    add("32massive11255", "fig7", Row::Kind::Fig7Batch);
     return rows;
 }
 
@@ -153,8 +163,45 @@ sortLastColumns(const SortLastResult &r)
     return digestHex(d.value()) + "\t0\t0\t0\t0\t0\t0\t0\t0\t-";
 }
 
+/**
+ * The Figure 7 grid (P in {4, 16, 64} x block widths 2-128, a
+ * 1 texel/pixel bus) through one FrameLab::runBatch: a line per
+ * config, then one for the T(1) all of them share.
+ */
+std::vector<Line>
+fig7Batch(const Scene &scene)
+{
+    std::vector<MachineConfig> grid;
+    std::vector<std::string> names;
+    for (uint32_t procs : {4u, 16u, 64u}) {
+        for (uint32_t width : {2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
+            MachineConfig cfg;
+            cfg.numProcs = procs;
+            cfg.dist = DistKind::Block;
+            cfg.tileParam = width;
+            cfg.busTexelsPerCycle = 1.0;
+            cfg.triangleBufferSize = 10000;
+            grid.push_back(cfg);
+            names.push_back(" procs=" + std::to_string(procs) +
+                            " width=" + std::to_string(width));
+        }
+    }
+    FrameLab lab(scene);
+    ThreadPool pool(2);
+    std::vector<FrameLab::SpeedupResult> results =
+        lab.runBatch(grid, pool);
+    std::vector<Line> out;
+    for (size_t i = 0; i < grid.size(); ++i)
+        out.push_back({names[i], frameColumns(results[i].frame)});
+    StateDigest t1;
+    t1.mix(uint64_t(results.front().baselineTime));
+    out.push_back({" T(1)",
+                   digestHex(t1.value()) + "\t0\t0\t0\t0\t0\t0\t0\t0\t-"});
+    return out;
+}
+
 /** Everything after the row key: one line per frame of the row. */
-std::vector<std::string>
+std::vector<Line>
 compute(const Row &row)
 {
     std::vector<std::string> sim_args;
@@ -171,6 +218,10 @@ compute(const Row &row)
         else
             sim_args.push_back(a);
     }
+    if (row.kind == Row::Kind::Fig7Batch) {
+        const std::string name = row.key.substr(0, row.key.find(' '));
+        return fig7Batch(makeBenchmark(name, std::stod(scale)));
+    }
     SimOptions opts = SimOptions::parse(sim_args);
     Scene scene = makeBenchmark(opts.scene, opts.scale);
 
@@ -179,10 +230,10 @@ compute(const Row &row)
         sl.node = opts.machine;
         sl.assign = sortlast == "chunked" ? SortLastAssign::Chunked
                                           : SortLastAssign::RoundRobin;
-        return {sortLastColumns(runSortLastFrame(scene, sl))};
+        return {{"", sortLastColumns(runSortLastFrame(scene, sl))}};
     }
     if (row.kind == Row::Kind::Frame)
-        return {frameColumns(runFrame(scene, opts.machine))};
+        return {{"", frameColumns(runFrame(scene, opts.machine))}};
 
     // A pan: every frame, then the last frame again from a
     // checkpoint taken before it, which must match bit for bit.
@@ -190,7 +241,7 @@ compute(const Row &row)
     for (uint32_t f = 0; f < frames; ++f)
         moved.push_back(translateScene(scene, pan * float(f), 0.0f));
     SequenceMachine machine(moved.front(), opts.machine);
-    std::vector<std::string> out;
+    std::vector<Line> out;
     std::string image;
     for (uint32_t f = 0; f < frames; ++f) {
         if (f + 1 == frames) {
@@ -198,33 +249,29 @@ compute(const Row &row)
             machine.serialize(w);
             image = w.bytes();
         }
-        out.push_back(frameColumns(machine.runFrame(moved[f])));
+        out.push_back({" frame" + std::to_string(f),
+                       frameColumns(machine.runFrame(moved[f]))});
     }
     SequenceMachine restored(moved.front(), opts.machine);
     CheckpointReader r("ledger-pan", image);
     restored.restore(r);
-    out.push_back(frameColumns(restored.runFrame(moved.back())));
+    out.push_back({" restored",
+                   frameColumns(restored.runFrame(moved.back()))});
     return out;
 }
 
 std::string
 render(const std::vector<Row> &rows,
-       const std::vector<std::vector<std::string>> &cols)
+       const std::vector<std::vector<Line>> &cols)
 {
     std::ostringstream os;
     os << "# key\tdigest\tfailed\tdegraded\tinjected\tkilled\t"
           "redistributed\trerouted\twatchdog_checks\tdetect_tick\t"
           "time_imbalance_pct\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        for (size_t f = 0; f < cols[i].size(); ++f) {
-            os << rows[i].key;
-            if (cols[i].size() > 1)
-                os << (f + 1 == cols[i].size()
-                           ? std::string(" restored")
-                           : " frame" + std::to_string(f));
-            os << '\t' << cols[i][f] << '\n';
-        }
-    }
+    for (size_t i = 0; i < rows.size(); ++i)
+        for (const Line &line : cols[i])
+            os << rows[i].key << line.suffix << '\t' << line.columns
+               << '\n';
     return os.str();
 }
 
@@ -256,7 +303,7 @@ run(int argc, char **argv)
     }
 
     const std::vector<Row> rows = ledgerRows();
-    std::vector<std::vector<std::string>> cols(rows.size());
+    std::vector<std::vector<Line>> cols(rows.size());
     ThreadPool pool(ThreadPool::defaultThreads());
     // texlint: phase(isolated) each task simulates a private machine;
     // nothing crosses tasks but the per-row result slot
