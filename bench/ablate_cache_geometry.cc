@@ -20,8 +20,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A2/A4: cache geometry (scale "
@@ -95,4 +95,10 @@ main(int argc, char **argv)
                  "paper's warning that an L2's efficiency drops in "
                  "multiprocessor configs.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

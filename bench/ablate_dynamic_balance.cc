@@ -48,8 +48,8 @@ runOracle(FrameLab &lab, const Scene &scene,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A5: oracle dynamic tile assignment "
@@ -106,4 +106,10 @@ main(int argc, char **argv)
                  "locality-friendly tiles —\nthe trade-off the "
                  "paper's conclusion asks about.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

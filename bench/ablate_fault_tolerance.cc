@@ -48,8 +48,8 @@ faultConfig(DistKind kind, uint32_t param)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A8: fault tolerance, 16 processors, 16KB "
@@ -133,4 +133,10 @@ main(int argc, char **argv)
                  "pure cost of degradation: setup re-paid and\ncold "
                  "caches, beyond the ideal 15/16 capacity loss.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

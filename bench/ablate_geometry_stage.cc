@@ -18,8 +18,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A8: geometry stage balance (scale "
@@ -70,4 +70,10 @@ main(int argc, char **argv)
                  "assumption becomes valid; 'feeder-bound' ~ 1.0 "
                  "means the frame is\npure geometry throughput.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

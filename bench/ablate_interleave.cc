@@ -15,8 +15,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A1: tile interleave order (scale "
@@ -71,4 +71,10 @@ main(int argc, char **argv)
         table.endRow();
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

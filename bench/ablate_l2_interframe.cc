@@ -24,8 +24,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A6: L2 inter-frame locality vs viewpoint "
@@ -71,4 +71,10 @@ main(int argc, char **argv)
                  "the pan exceeds the tile\nsize, confirming the "
                  "paper's Section 9 prediction.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -16,8 +16,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A3: prefetch queue depth (scale "
@@ -73,4 +73,10 @@ main(int argc, char **argv)
                  "is the pixel-FIFO size a real chip needs for the "
                  "paper's zero-latency assumption to hold.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -35,8 +35,8 @@ withLayout(const Scene &scene, TexLayout layout)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A7: blocked vs linear texture layout "
@@ -93,4 +93,10 @@ main(int argc, char **argv)
                  "Hakura & Gupta result carrying over to the "
                  "parallel machine.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

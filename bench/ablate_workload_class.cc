@@ -55,8 +55,8 @@ makeCadScene(double scale)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Ablation A9: workload class - CAD (Viewperf-like) "
@@ -102,4 +102,10 @@ main(int argc, char **argv)
                  "see nothing,\nwhich is the paper's Section 4.2 "
                  "point.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hh"
 #include "core/experiments.hh"
 #include "scene/benchmarks.hh"
 

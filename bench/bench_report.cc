@@ -262,8 +262,8 @@ relError(double estimate, double reference)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     std::string out_path = "BENCH_texdist.json";
     std::vector<char *> rest = {argv[0]};
@@ -538,4 +538,10 @@ main(int argc, char **argv)
     return sweep_match && seq_match && simd_match && sample_accurate
                ? 0
                : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

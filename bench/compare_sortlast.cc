@@ -23,8 +23,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Baseline B1: sort-middle vs sort-last (scale "
@@ -120,4 +120,10 @@ main(int argc, char **argv)
                  "SortLastConfig::compositePixelsPerCycle to charge "
                  "it.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -18,8 +18,8 @@
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 1: why interleaving - % imbalance at 16 "
@@ -55,4 +55,10 @@ main(int argc, char **argv)
                  "full\nbrunt of the scene's hot spots, Figure 1's "
                  "point.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -78,8 +78,8 @@ measureSharing(const Scene &scene, const Distribution &dist)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 2: cache-line sharing vs tile size, 64 "
@@ -124,4 +124,10 @@ main(int argc, char **argv)
                  "once per sharing processor, which is Figure 2's\n"
                  "explanation for Figure 6's bandwidth growth.)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -58,6 +58,7 @@ imbalanceTable(const std::vector<Scene> &scenes, DistKind kind,
         table.endRow();
         csv.endRow();
     }
+    csv.close();
 }
 
 void
@@ -99,12 +100,13 @@ speedupGraph(FrameLab &lab, DistKind kind,
         table.endRow();
         csv.endRow();
     }
+    csv.close();
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
 
@@ -150,4 +152,10 @@ main(int argc, char **argv)
     speedupGraph(lab, DistKind::SLI, sliLines, opts, pool);
 
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

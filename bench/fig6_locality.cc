@@ -66,12 +66,13 @@ localityGraph(const Scene &scene, DistKind kind,
         table.endRow();
         csv.endRow();
     }
+    csv.close();
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 6: texture locality (scale " << opts.scale
@@ -120,4 +121,10 @@ main(int argc, char **argv)
         table.endRow();
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

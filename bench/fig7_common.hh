@@ -81,6 +81,7 @@ runFig7(double bus_ratio, const BenchOptions &opts)
                 table.endRow();
                 csv.endRow();
             }
+            csv.close();
         }
     }
 

@@ -9,11 +9,17 @@
 
 #include "fig7_common.hh"
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     using namespace texdist;
     BenchOptions opts = BenchOptions::parse(argc, argv);
     runFig7(2.0, opts);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

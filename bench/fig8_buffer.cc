@@ -68,6 +68,7 @@ bufferGraph(FrameLab &lab, bool perfect, const BenchOptions &opts)
         table.endRow();
         csv.endRow();
     }
+    csv.close();
 
     // Best width per buffer size (the paper's "best size shrinks
     // with the buffer" observation).
@@ -103,8 +104,8 @@ bufferGraph(FrameLab &lab, bool perfect, const BenchOptions &opts)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "Figure 8: triangle buffer size (scale "
@@ -115,4 +116,10 @@ main(int argc, char **argv)
     bufferGraph(lab, /*perfect=*/true, opts);
     bufferGraph(lab, /*perfect=*/false, opts);
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

@@ -5,6 +5,12 @@
  * claim — the executable version of EXPERIMENTS.md's conclusion
  * table. Runs on a subset of scenes sized so the whole report takes
  * a couple of minutes at the default scale.
+ *
+ * Every configuration sweep runs through FrameLab::runBatch on one
+ * pool of --threads workers; the output is identical for any thread
+ * count. Exit status: 0 when every claim passes, 1 when any claim
+ * fails or an option is malformed — so `reproduction_report --quick
+ * --threads=4` (scale 0.25) runs as the ctest `paper.claims`.
  */
 
 #include <iomanip>
@@ -30,19 +36,31 @@ verdict(const std::string &claim, bool ok, const std::string &detail)
     (ok ? passed : failed)++;
 }
 
-/** Speedups per tile parameter for one scene/machine family. */
-std::map<uint32_t, double>
-paramSweep(FrameLab &lab, uint32_t procs, DistKind kind,
-           const std::vector<uint32_t> &params)
+/** Append one scene/machine family's tile-parameter sweep. */
+void
+addSweep(std::vector<MachineConfig> &grid, uint32_t procs,
+         DistKind kind, const std::vector<uint32_t> &params)
 {
-    std::map<uint32_t, double> out;
     for (uint32_t param : params) {
         MachineConfig cfg = paperConfig();
         cfg.numProcs = procs;
         cfg.dist = kind;
         cfg.tileParam = param;
-        out[param] = lab.runWithSpeedup(cfg).speedup;
+        grid.push_back(cfg);
     }
+}
+
+/**
+ * Speedups per tile parameter of the sweep that starts at
+ * results[*next] (in addSweep's order); advances *next past it.
+ */
+std::map<uint32_t, double>
+takeSweep(const std::vector<FrameLab::SpeedupResult> &results,
+          size_t *next, const std::vector<uint32_t> &params)
+{
+    std::map<uint32_t, double> out;
+    for (uint32_t param : params)
+        out[param] = results[(*next)++].speedup;
     return out;
 }
 
@@ -64,8 +82,8 @@ argmax(const std::map<uint32_t, double> &sweep, double *best_out)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     std::cout << "texdist reproduction report (scale " << opts.scale
@@ -85,17 +103,25 @@ main(int argc, char **argv)
     std::map<std::string, std::map<uint32_t, double>> block_speed;
     std::map<std::string, std::map<uint32_t, double>> sli_speed;
 
+    ThreadPool pool(opts.threads);
+    const std::vector<uint32_t> keyProcs = {4, 16, 64};
     for (const std::string &name : keyScenes) {
         Scene scene = loadScene(name, opts.scale);
         FrameLab lab(scene);
-        for (uint32_t procs : {4u, 16u, 64u}) {
-            auto sweep =
-                paramSweep(lab, procs, DistKind::Block, blockWidths);
+        // One batch per scene: the whole P x tile-parameter grid.
+        std::vector<MachineConfig> grid;
+        for (uint32_t procs : keyProcs) {
+            addSweep(grid, procs, DistKind::Block, blockWidths);
+            addSweep(grid, procs, DistKind::SLI, sliLines);
+        }
+        auto results = lab.runBatch(grid, pool);
+        size_t next = 0;
+        for (uint32_t procs : keyProcs) {
+            auto sweep = takeSweep(results, &next, blockWidths);
             block_sweeps[name][procs] = sweep;
             double sb = 0.0, ss = 0.0;
             argmax(sweep, &sb);
-            auto sli_sweep =
-                paramSweep(lab, procs, DistKind::SLI, sliLines);
+            auto sli_sweep = takeSweep(results, &next, sliLines);
             best_sli[name][procs] = argmax(sli_sweep, &ss);
             block_speed[name][procs] = sb;
             sli_speed[name][procs] = ss;
@@ -194,18 +220,23 @@ main(int argc, char **argv)
                 i128 > 4.0 * i16 && i16 <= 25.0, d.str());
 
         FrameLab lab(scene);
-        auto ratio = [&](uint32_t procs, DistKind kind,
-                         uint32_t param) {
+        auto ratioConfig = [](uint32_t procs, DistKind kind,
+                              uint32_t param) {
             MachineConfig cfg = paperConfig();
             cfg.infiniteBus = true;
             cfg.numProcs = procs;
             cfg.dist = kind;
             cfg.tileParam = param;
-            return lab.run(cfg).texelToFragmentRatio;
+            return cfg;
         };
-        double r1 = ratio(1, DistKind::Block, 16);
-        double r64 = ratio(64, DistKind::Block, 16);
-        double sli2 = ratio(64, DistKind::SLI, 2);
+        auto frames = lab.runMany(
+            {ratioConfig(1, DistKind::Block, 16),
+             ratioConfig(64, DistKind::Block, 16),
+             ratioConfig(64, DistKind::SLI, 2)},
+            pool);
+        double r1 = frames[0].texelToFragmentRatio;
+        double r64 = frames[1].texelToFragmentRatio;
+        double sli2 = frames[2].texelToFragmentRatio;
         std::ostringstream d2;
         d2 << "P1: " << std::setprecision(3) << r1 << "  P64: "
            << r64 << "  SLI-2@64P: " << sli2;
@@ -219,16 +250,20 @@ main(int argc, char **argv)
     {
         Scene scene = loadScene("truc640", opts.scale);
         FrameLab lab(scene);
-        auto speed = [&](uint32_t buffer) {
+        auto bufferConfig = [](uint32_t buffer) {
             MachineConfig cfg = paperConfig();
             cfg.cacheKind = CacheKind::Perfect;
             cfg.infiniteBus = true;
             cfg.numProcs = 64;
             cfg.tileParam = 16;
             cfg.triangleBufferSize = buffer;
-            return lab.runWithSpeedup(cfg).speedup;
+            return cfg;
         };
-        double b1 = speed(1), b500 = speed(500), big = speed(10000);
+        auto speeds = lab.runBatch(
+            {bufferConfig(1), bufferConfig(500), bufferConfig(10000)},
+            pool);
+        double b1 = speeds[0].speedup, b500 = speeds[1].speedup,
+               big = speeds[2].speedup;
         std::ostringstream d;
         d << "b1: " << std::fixed << std::setprecision(2) << b1
           << "  b500: " << b500 << "  b10000: " << big;
@@ -240,4 +275,10 @@ main(int argc, char **argv)
     std::cout << "\n" << passed << " claims passed, " << failed
               << " failed\n";
     return failed == 0 ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

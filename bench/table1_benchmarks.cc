@@ -15,14 +15,15 @@
 
 #include <iostream>
 
+#include "core/error.hh"
 #include "core/experiments.hh"
 #include "scene/benchmarks.hh"
 #include "scene/stats.hh"
 
 using namespace texdist;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchOptions opts = BenchOptions::parse(argc, argv);
     double s2 = opts.scale * opts.scale;
@@ -75,4 +76,10 @@ main(int argc, char **argv)
                  "paper's Texture-Used and unique-t/f columns are "
                  "mutually consistent.\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return texdist::guardParseErrors([&] { return run(argc, argv); });
 }

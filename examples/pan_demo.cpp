@@ -17,6 +17,7 @@
 #include "core/sequence.hh"
 #include "core/experiments.hh"
 #include "scene/benchmarks.hh"
+#include "sim/logging.hh"
 
 using namespace texdist;
 

@@ -1,11 +1,11 @@
 #include "core/node.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "cache/two_level.hh"
 #include "core/error.hh"
+#include "sim/logging.hh"
 #include "texture/sampler.hh"
 
 namespace texdist
@@ -30,9 +30,12 @@ TextureNode::TextureNode(uint32_t id, const MachineConfig &config,
                  ? std::make_unique<TwoLevelCache>(config.cacheGeom,
                                                    config.l2Geom,
                                                    config.l2Inclusive)
-                 : makeCache(config.cacheKind, config.cacheGeom)),
-      fifo(config.triangleBufferSize)
+                 : makeCache(config.cacheKind, config.cacheGeom))
 {
+    // Phase 1 blocks the feeder while a FIFO holds `capacity`
+    // entries; a zero capacity would block it forever.
+    if (cfg.triangleBufferSize == 0)
+        texdist_fatal("FIFO capacity must be positive");
     if (!cfg.infiniteBus)
         bus_ = std::make_unique<TextureBus>(cfg.busTexelsPerCycle);
     retireRing.assign(std::max(1u, cfg.prefetchQueueDepth), 0);
@@ -267,20 +270,11 @@ TextureNode::serialize(CheckpointWriter &w) const
     w.u64(_setupWaitCycles);
     trianglePixels.serialize(w);
 
+    // The frame engine never materialises FIFO entries: the section
+    // is the high-water mark and an always-zero entry count.
     w.section("node-fifo");
-    w.u64(fifo.maxOccupancy());
-    w.u64(fifo.size());
-    for (const TriangleWork &work : fifo.contents()) {
-        w.u32(work.tex);
-        w.u64(work.frags.size());
-        for (const NodeFragment &frag : work.frags) {
-            w.u32(frag.x);
-            w.u32(frag.y);
-            w.u32(std::bit_cast<uint32_t>(frag.u));
-            w.u32(std::bit_cast<uint32_t>(frag.v));
-            w.u32(std::bit_cast<uint32_t>(frag.lod));
-        }
-    }
+    w.u64(fifoHighWater);
+    w.u64(0);
 
     cache_->serialize(w);
     w.u8(bus_ ? 1 : 0);
@@ -324,30 +318,16 @@ TextureNode::unserialize(CheckpointReader &r)
     trianglePixels.unserialize(r);
 
     r.section("node-fifo");
-    uint64_t high_water = r.u64();
-    uint64_t occupancy = r.u64();
-    fifo.clear();
-    for (uint64_t i = 0; i < occupancy; ++i) {
-        TriangleWork work;
-        work.tex = r.u32();
-        uint64_t nfrags = r.u64();
-        // The count comes from the file; cap the pre-allocation so a
-        // hostile value cannot demand memory the payload could never
-        // back (each fragment is 20 payload bytes — a short payload
-        // throws Truncated on the first missing read below).
-        work.frags.reserve(std::min<uint64_t>(nfrags, 4096));
-        for (uint64_t f = 0; f < nfrags; ++f) {
-            NodeFragment frag;
-            frag.x = uint16_t(r.u32());
-            frag.y = uint16_t(r.u32());
-            frag.u = std::bit_cast<float>(r.u32());
-            frag.v = std::bit_cast<float>(r.u32());
-            frag.lod = std::bit_cast<float>(r.u32());
-            work.frags.push_back(frag);
-        }
-        fifo.forcePush(std::move(work));
-    }
-    fifo.restoreHighWater(high_water);
+    fifoHighWater = r.u64();
+    if (uint64_t entries = r.u64(); entries != 0)
+        throw ParseError(ParseSurface::Checkpoint,
+                         ParseRule::Mismatch,
+                         "FIFO of " + name() + " holds " +
+                             std::to_string(entries) +
+                             " entries; a checkpoint's node FIFOs "
+                             "are always empty")
+            .in(r.path())
+            .field("node-fifo");
 
     cache_->unserialize(r);
     bool had_bus = r.u8() != 0;

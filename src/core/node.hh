@@ -30,7 +30,6 @@
 #include "core/config.hh"
 #include "core/coverage.hh"
 #include "mem/bus.hh"
-#include "sim/fifo.hh"
 #include "sim/sim_object.hh"
 #include "texture/manager.hh"
 
@@ -65,19 +64,6 @@ struct FragmentView
     {
         return idx ? frags[idx[i]] : frags[i];
     }
-};
-
-/**
- * One triangle FIFO entry: the node's share of a triangle. The
- * frame engine streams triangles straight into the node, so the
- * FIFO itself only keeps the occupancy high-water mark; entries
- * exist only as the checkpoint format's (always empty) FIFO
- * contents.
- */
-struct TriangleWork
-{
-    TextureId tex = 0;
-    std::vector<NodeFragment> frags;
 };
 
 /** A texture-mapping engine plus its cache, bus and triangle FIFO. */
@@ -115,7 +101,11 @@ class TextureNode : public SimObject
      * engine into this node's FIFO statistic (and thus into results
      * and checkpoints).
      */
-    void noteFifoHighWater(size_t hw) { fifo.noteOccupancy(hw); }
+    void
+    noteFifoHighWater(size_t hw)
+    {
+        fifoHighWater = std::max(fifoHighWater, hw);
+    }
 
     /**
      * Functional (no-timing) execution of one triangle for sampled
@@ -243,18 +233,14 @@ class TextureNode : public SimObject
     /** Null when the configuration uses an infinite bus. */
     const TextureBus *bus() const { return bus_.get(); }
 
-    size_t fifoMaxOccupancy() const { return fifo.maxOccupancy(); }
-
-    /** Distribution of per-triangle pixel counts on this node. */
-    const Histogram &trianglePixelsHistogram() const
-    { return trianglePixels; }
+    size_t fifoMaxOccupancy() const { return fifoHighWater; }
 
     /**
      * Serialize the node's complete mutable state: engine clocks,
      * prefetch retire ring, fault flags, counters, triangle FIFO
-     * contents, cache tag arrays and bus position. A node restored
-     * from this state continues bit-exactly where the original
-     * stood.
+     * high-water mark, cache tag arrays and bus position. A node
+     * restored from this state continues bit-exactly where the
+     * original stood.
      */
     void serialize(CheckpointWriter &w) const;
 
@@ -297,7 +283,13 @@ class TextureNode : public SimObject
 
     std::unique_ptr<TextureCache> cache_;
     std::unique_ptr<TextureBus> bus_;
-    BoundedFifo<TriangleWork> fifo;
+
+    /**
+     * Triangle FIFO occupancy high-water mark. The frame engine
+     * computes every push and pop tick, so the FIFO itself is never
+     * materialised; only its occupancy statistic is kept.
+     */
+    size_t fifoHighWater = 0;
 
     /** When the scan engine is next free. */
     Tick cpuTime = 0;

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/eventq.hh"
+#include "sim/tick.hh"
 
 namespace texdist
 {

@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "sim/checkpoint.hh"
-#include "sim/eventq.hh"
+#include "sim/tick.hh"
 
 namespace texdist
 {

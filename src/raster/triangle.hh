@@ -9,10 +9,8 @@
 #ifndef TEXDIST_RASTER_TRIANGLE_HH
 #define TEXDIST_RASTER_TRIANGLE_HH
 
-#include <cmath>
 #include <cstdint>
 
-#include "geom/rect.hh"
 #include "texture/texture.hh"
 
 namespace texdist
@@ -41,35 +39,6 @@ struct TexTriangle
     TextureId tex = 0;
 
     bool operator==(const TexTriangle &) const = default;
-
-    /**
-     * Conservative pixel bounding box (half-open). Pixels are sampled
-     * at their centres, so the box covers every pixel whose centre
-     * could lie inside the triangle.
-     */
-    Rect
-    pixelBBox() const
-    {
-        auto lo = [](float a, float b, float c) {
-            float m = a < b ? a : b;
-            return m < c ? m : c;
-        };
-        auto hi = [](float a, float b, float c) {
-            float m = a > b ? a : b;
-            return m > c ? m : c;
-        };
-        float x_min = lo(v[0].x, v[1].x, v[2].x);
-        float x_max = hi(v[0].x, v[1].x, v[2].x);
-        float y_min = lo(v[0].y, v[1].y, v[2].y);
-        float y_max = hi(v[0].y, v[1].y, v[2].y);
-        // Pixel centre (x + 0.5) in [min, max) <=> x in
-        // [ceil(min - 0.5), ceil(max - 0.5)).
-        auto lo_px = [](float f) {
-            return int32_t(std::ceil(f - 0.5f));
-        };
-        return Rect(lo_px(x_min), lo_px(y_min), lo_px(x_max),
-                    lo_px(y_max));
-    }
 };
 
 /**

@@ -5,6 +5,7 @@
 
 #include "core/experiments.hh"
 #include "core/machine.hh"
+#include "core/node.hh"
 #include "scene/builder.hh"
 
 namespace texdist
@@ -299,6 +300,17 @@ TEST(Machine, ConfigDescribeRoundTripsSettings)
     EXPECT_NE(desc.find("procs=16"), std::string::npos);
     EXPECT_NE(desc.find("sli"), std::string::npos);
     EXPECT_NE(desc.find("16KB"), std::string::npos);
+}
+
+TEST(TextureNodeDeath, ZeroCapacityFatal)
+{
+    // Phase 1 blocks the feeder while a node's FIFO is full, so a
+    // zero-entry FIFO would block it forever: a node refuses one.
+    MachineConfig cfg = perfectConfig();
+    cfg.triangleBufferSize = 0;
+    TextureManager textures;
+    EXPECT_EXIT(TextureNode(0, cfg, textures),
+                ::testing::ExitedWithCode(1), "positive");
 }
 
 } // namespace

@@ -5,6 +5,7 @@
  * robustness fuzzing on degenerate input.
  */
 
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>

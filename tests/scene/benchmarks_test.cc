@@ -1,5 +1,7 @@
 /** @file Tests for the Table 1 benchmark generators. */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "scene/benchmarks.hh"
