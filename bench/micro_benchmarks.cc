@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the simulator's hot paths:
- * rasterization, trilinear address generation (single and batched),
+ * rasterization (coverage and span interpolation kernels per SIMD
+ * tier), trilinear address generation (single and batched),
  * cache lookups (single and batched), phase-0 bucketing (of a shared
  * raster or fused with rasterization) and whole frames. These guard
  * the simulator's own throughput (frames are hundreds of millions of
@@ -16,6 +17,7 @@
  */
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -221,6 +223,64 @@ BENCHMARK(BM_RasterCoverageKernel)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Repetitions(kRepetitions)
+    ->ReportAggregatesOnly(true);
+
+void
+BM_InterpolateRowKernel(benchmark::State &state)
+{
+    // Rasterization pinned to one SIMD tier, dominated by the span
+    // interpolation kernel (coverage alone is BM_RasterCoverageKernel).
+    // The uv argument picks the texture mapping, and with it how
+    // often the per-pixel level of detail calls libm log2f:
+    //  0  constant u, v: rho2 == 0 everywhere, lod is the -126
+    //     constant and log2f never runs — the kernel without it;
+    //  1  affine (1/w = 1 at every vertex, as in the seed scenes):
+    //     one rho2 per triangle, which the AVX2 kernel's memo turns
+    //     into one log2f call per span;
+    //  2  perspective: a distinct rho2, so one log2f call, per pixel.
+    const auto kernel = simd::Kernel(uint8_t(state.range(0)));
+    const int64_t uv = state.range(1);
+    if (!simd::forceKernel(kernel)) {
+        state.SkipWithError("kernel unsupported on this host");
+        return;
+    }
+    const float tex = uv == 0 ? 0.0f : 1.0f;
+    const float w1 = uv == 2 ? 0.5f : 1.0f;
+    const float w2 = uv == 2 ? 0.25f : 1.0f;
+    TexTriangle tri;
+    tri.v[0] = {0, 0, 1.0f, 0.0f, 0.0f};
+    tri.v[1] = {1024, 0, w1, tex, 0.0f};
+    tri.v[2] = {0, 1024, w2, 0.0f, tex};
+    Rect screen(0, 0, 2048, 2048);
+    TriangleRaster raster(tri, 256, 256);
+
+    auto one_pass = [&] {
+        int64_t n = 0;
+        raster.rasterize(screen, [&](const Fragment &f) {
+            benchmark::DoNotOptimize(f.lod);
+            ++n;
+        });
+        return n;
+    };
+    one_pass(); // warmup
+
+    int64_t frags = 0;
+    for (auto _ : state)
+        frags += one_pass();
+    state.SetItemsProcessed(frags);
+    state.counters["time_per_frag"] = benchmark::Counter(
+        double(frags),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    static const char *const uv_names[] = {" constant-uv (no log2f)",
+                                           " affine", " perspective"};
+    state.SetLabel(std::string(simd::to_string(kernel)) +
+                   uv_names[uv]);
+    simd::clearForcedKernel();
+}
+BENCHMARK(BM_InterpolateRowKernel)
+    ->ArgNames({"kernel", "uv"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1, 2}})
     ->Repetitions(kRepetitions)
     ->ReportAggregatesOnly(true);
 

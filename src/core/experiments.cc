@@ -4,12 +4,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iomanip>
+#include <iostream>
 #include <sstream>
 #include <string>
 
 #include "core/options.hh"
 #include "raster/raster.hh"
-#include "sim/logging.hh"
 
 namespace texdist
 {
@@ -190,11 +190,14 @@ BenchOptions::parse(int argc, char **argv)
             opts.threads = parseHostThreads(arg.substr(10),
                                             "threads");
         } else if (arg == "--help" || arg == "-h") {
-            inform("options: --scale=<f> | --full | --quick | "
-                   "--csv=<dir> | --threads=<n> "
-                   "(or env TEXDIST_SCALE)");
+            std::cout << "options: --scale=<f> | --full | --quick | "
+                         "--csv=<dir> | --threads=<n> "
+                         "(or env TEXDIST_SCALE)\n";
+            std::exit(0);
         } else {
-            warn("ignoring unknown option: ", arg);
+            throw ParseError(ParseSurface::Cli, ParseRule::Unknown,
+                             "unknown option '" + arg + "'")
+                .field(arg);
         }
     }
     if (opts.scale <= 0.0 || opts.scale > 4.0)

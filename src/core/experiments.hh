@@ -115,6 +115,10 @@ class FrameLab
  * --threads=<n> (simulate n configurations at a time; results are
  * identical for any value). The TEXDIST_SCALE environment variable
  * provides a default scale that flags override.
+ *
+ * parse() throws a CLI ParseError (exit 1 under guardParseErrors) on
+ * an unknown option or a bad value; --help (-h) prints the options
+ * and exits 0 before the harness runs anything.
  */
 struct BenchOptions
 {

@@ -1,11 +1,11 @@
 #include "raster/raster.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "raster/raster_kernels.hh"
 #include "sim/simd.hh"
-#include "texture/sampler.hh"
 
 namespace texdist
 {
@@ -32,8 +32,9 @@ subFloor(int64_t v)
 
 TriangleRaster::TriangleRaster(const TexTriangle &tri, uint32_t tex_w,
                                uint32_t tex_h)
-    : texW(float(tex_w)), texH(float(tex_h))
 {
+    planes.texW = float(tex_w);
+    planes.texH = float(tex_h);
     // Snapped vertex positions in subpixel units.
     int64_t xs[3], ys[3];
     int perm[3] = {0, 1, 2};
@@ -109,50 +110,19 @@ TriangleRaster::TriangleRaster(const TexTriangle &tri, uint32_t tex_w,
               area_px;
         base = f[0] - ddx * px[0] - ddy * py[0];
     };
-    plane(uw, uwBase, uwDx, uwDy);
-    plane(vw, vwBase, vwDx, vwDy);
-    plane(w, wBase, wDx, wDy);
+    plane(uw, planes.uwBase, planes.uwDx, planes.uwDy);
+    plane(vw, planes.vwBase, planes.vwDx, planes.vwDy);
+    plane(w, planes.wBase, planes.wDx, planes.wDy);
 }
 
 void
-TriangleRaster::interpolate(int32_t x, int32_t y, Fragment &frag) const
+TriangleRaster::interpolateRow(int32_t y, const int32_t *xs, int32_t n,
+                               const detail::SpanAttrs &out) const
 {
-    double px = x + 0.5;
-    double py = y + 0.5;
-
-    double cur_uw = uwBase + uwDx * px + uwDy * py;
-    double cur_vw = vwBase + vwDx * px + vwDy * py;
-    double cur_w = wBase + wDx * px + wDy * py;
-
-    if (cur_w <= 1e-12) {
-        // Should not happen for properly clipped input; degrade
-        // gracefully rather than emit NaNs.
-        frag.u = 0.0f;
-        frag.v = 0.0f;
-        frag.lod = 0.0f;
-        frag.invW = 0.0f;
+    if (simd::dispatch() == simd::Kernel::AVX2 &&
+        detail::interpolateRowAvx2(planes, y, xs, n, out))
         return;
-    }
-
-    frag.invW = float(cur_w);
-    double inv = 1.0 / cur_w;
-    frag.u = float(cur_uw * inv);
-    frag.v = float(cur_vw * inv);
-
-    // Analytic screen-space derivatives of u and v via the quotient
-    // rule: d(U/W) = (U' W - U W') / W^2.
-    double inv2 = inv * inv;
-    float dudx = float((uwDx * cur_w - cur_uw * wDx) * inv2);
-    float dvdx = float((vwDx * cur_w - cur_vw * wDx) * inv2);
-    float dudy = float((uwDy * cur_w - cur_uw * wDy) * inv2);
-    float dvdy = float((vwDy * cur_w - cur_vw * wDy) * inv2);
-
-    float sx = dudx * texW;
-    float tx = dvdx * texH;
-    float sy = dudy * texW;
-    float ty = dvdy * texH;
-    float rho2 = std::max(sx * sx + tx * tx, sy * sy + ty * ty);
-    frag.lod = rho2 > 0.0f ? 0.5f * std::log2(rho2) : -126.0f;
+    detail::interpolateRowScalar(planes, y, xs, n, out);
 }
 
 void
@@ -191,25 +161,13 @@ TriangleRaster::rowCoverage(int32_t y, int32_t x0, int32_t n,
 int64_t
 TriangleRaster::countPixels(const Rect &scissor) const
 {
-    if (_degenerate)
-        return 0;
-    Rect r = _bbox.intersect(scissor);
-    if (r.empty())
-        return 0;
-
     int64_t count = 0;
-    uint64_t bits[coverageWords];
-    int32_t width = r.x1 - r.x0;
-    for (int32_t y = r.y0; y < r.y1; ++y) {
-        for (int32_t cx = 0; cx < width; cx += coverageSpan) {
-            int32_t n = width - cx < coverageSpan ? width - cx
-                                                  : coverageSpan;
-            rowCoverage(y, r.x0 + cx, n, bits);
-            int32_t words = (n + 63) >> 6;
-            for (int32_t w = 0; w < words; ++w)
-                count += std::popcount(bits[w]);
-        }
-    }
+    forEachSpan(scissor, [&](int32_t, int32_t, int32_t n,
+                             const uint64_t *bits) {
+        int32_t words = (n + 63) >> 6;
+        for (int32_t w = 0; w < words; ++w)
+            count += std::popcount(bits[w]);
+    });
     return count;
 }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "geom/rect.hh"
+#include "raster/raster_kernels.hh"
 #include "raster/triangle.hh"
 
 namespace texdist
@@ -81,6 +82,71 @@ class TriangleRaster
     void
     cover(const Rect &scissor, Visit &&visit) const
     {
+        int32_t xs[coverageSpan];
+        forEachSpan(scissor, [&](int32_t y, int32_t x0, int32_t n,
+                                 const uint64_t *bits) {
+            int32_t count = coveredXs(x0, n, bits, xs);
+            for (int32_t i = 0; i < count; ++i)
+                visit(xs[i], y);
+        });
+    }
+
+    /**
+     * Scan all pixels whose centre is covered, restricted to
+     * @p scissor, emitting interpolated fragments in cover() order.
+     *
+     * Each coverage span's covered pixels are interpolated in one
+     * interpolateRow() call (scalar or AVX2, bit-identical either
+     * way) into stack arrays, then emitted one fragment at a time.
+     *
+     * @tparam Emit callable as emit(const Fragment &)
+     */
+    template <typename Emit>
+    void
+    rasterize(const Rect &scissor, Emit &&emit) const
+    {
+        int32_t xs[coverageSpan];
+        float u[coverageSpan], v[coverageSpan], lod[coverageSpan],
+            inv_w[coverageSpan];
+        const detail::SpanAttrs attrs{u, v, lod, inv_w};
+        forEachSpan(scissor, [&](int32_t y, int32_t x0, int32_t n,
+                                 const uint64_t *bits) {
+            int32_t count = coveredXs(x0, n, bits, xs);
+            if (count == 0)
+                return;
+            interpolateRow(y, xs, count, attrs);
+            for (int32_t i = 0; i < count; ++i) {
+                Fragment frag;
+                frag.x = xs[i];
+                frag.y = y;
+                frag.u = u[i];
+                frag.v = v[i];
+                frag.lod = lod[i];
+                frag.invW = inv_w[i];
+                emit(frag);
+            }
+        });
+    }
+
+    /** Number of covered pixels inside @p scissor. */
+    int64_t countPixels(const Rect &scissor) const;
+
+  private:
+    /** Pixels per rowCoverage() call (bounds the stack bitmask). */
+    static constexpr int32_t coverageSpan = 512;
+
+    /** 64-bit words needed for one coverage span. */
+    static constexpr int32_t coverageWords = coverageSpan / 64;
+
+    /**
+     * Call span(y, x0, n, bits) for every run of at most
+     * coverageSpan pixels of each row of the bbox clipped to
+     * @p scissor, in raster order, with the run's coverage bits.
+     */
+    template <typename Span>
+    void
+    forEachSpan(const Rect &scissor, Span &&span) const
+    {
         if (_degenerate)
             return;
         Rect r = _bbox.intersect(scissor);
@@ -95,47 +161,29 @@ class TriangleRaster
                                 ? width - cx
                                 : coverageSpan;
                 rowCoverage(y, r.x0 + cx, n, bits);
-                int32_t words = (n + 63) >> 6;
-                for (int32_t w = 0; w < words; ++w) {
-                    uint64_t m = bits[w];
-                    while (m) {
-                        int b = std::countr_zero(m);
-                        m &= m - 1;
-                        visit(r.x0 + cx + w * 64 + b, y);
-                    }
-                }
+                span(y, r.x0 + cx, n, bits);
             }
         }
     }
 
     /**
-     * Scan all pixels whose centre is covered, restricted to
-     * @p scissor, emitting interpolated fragments in cover() order.
-     *
-     * @tparam Emit callable as emit(const Fragment &)
+     * Write the x of every covered pixel of an @p n pixel span at
+     * @p x0 to @p xs, in increasing order; return how many.
      */
-    template <typename Emit>
-    void
-    rasterize(const Rect &scissor, Emit &&emit) const
+    static int32_t
+    coveredXs(int32_t x0, int32_t n, const uint64_t *bits, int32_t *xs)
     {
-        Fragment frag;
-        cover(scissor, [&](int32_t x, int32_t y) {
-            frag.x = x;
-            frag.y = y;
-            interpolate(x, y, frag);
-            emit(frag);
-        });
+        int32_t count = 0;
+        int32_t words = (n + 63) >> 6;
+        for (int32_t w = 0; w < words; ++w) {
+            uint64_t m = bits[w];
+            while (m) {
+                xs[count++] = x0 + w * 64 + std::countr_zero(m);
+                m &= m - 1;
+            }
+        }
+        return count;
     }
-
-    /** Number of covered pixels inside @p scissor. */
-    int64_t countPixels(const Rect &scissor) const;
-
-  private:
-    /** Pixels per rowCoverage() call (bounds the stack bitmask). */
-    static constexpr int32_t coverageSpan = 512;
-
-    /** 64-bit words needed for one coverage span. */
-    static constexpr int32_t coverageWords = coverageSpan / 64;
 
     /** Edge function value at pixel centre (x + .5, y + .5). */
     int64_t
@@ -162,8 +210,14 @@ class TriangleRaster
     void rowCoverage(int32_t y, int32_t x0, int32_t n,
                      uint64_t *bits) const;
 
-    /** Perspective-correct attribute evaluation at a pixel centre. */
-    void interpolate(int32_t x, int32_t y, Fragment &frag) const;
+    /**
+     * Perspective-correct attributes of the @p n pixels (xs[i], y),
+     * written to entries [0, n) of @p out. Dispatches to the AVX2
+     * kernel when available; scalar and vector results are
+     * bit-identical.
+     */
+    void interpolateRow(int32_t y, const int32_t *xs, int32_t n,
+                        const detail::SpanAttrs &out) const;
 
     // Edge functions E(p) = A*px + B*py + C in subpixel units.
     int64_t edgeA[3];
@@ -172,13 +226,8 @@ class TriangleRaster
     int64_t stepX[3]; ///< edge increment for one pixel step in x
     bool edgeAcceptsZero[3];
 
-    // Interpolation planes f(x, y) = base + x*dx + y*dy at pixel
-    // centres, for u/w, v/w and 1/w.
-    double uwBase, uwDx, uwDy;
-    double vwBase, vwDx, vwDy;
-    double wBase, wDx, wDy;
-
-    float texW, texH;
+    /// u/w, v/w and 1/w planes at pixel centres, and the texture size.
+    detail::InterpPlanes planes;
     Rect _bbox;
     double _areaPixels = 0.0;
     bool _degenerate = true;

@@ -1,25 +1,32 @@
 /**
  * @file
  * Runtime SIMD kernel dispatch — the single point deciding which
- * vector implementation of the hot loops (trilinear address
- * generation, rasterizer coverage) runs on this host.
+ * vector implementation of the fragment-rate loops (trilinear
+ * address generation, rasterizer coverage, span interpolation) runs
+ * on this host.
  *
  * Policy: every SIMD kernel in the tree is *bit-identical* to the
  * scalar reference path — same texel addresses, same fill-rule tie
- * decisions — so the choice of kernel can never change a digest, a
- * checkpoint byte or a result CSV. That makes the kernel a pure
+ * decisions, same interpolated attribute bits — so the choice of
+ * kernel can never change a digest, a checkpoint byte or a result
+ * CSV. That makes the kernel a pure
  * host-side throughput knob, like `--jobs`: it is not part of
  * MachineConfig::describe() and never serialized. The parity test
  * suite (tests/texture/sampler_simd_test.cc,
  * tests/raster/raster_simd_test.cc) and the bench_report digest
  * cross-check enforce the bit-identity claim.
  *
- * Tiers:
- *  - Scalar: the reference implementation, always available. The
- *    TEXDIST_NO_SIMD CMake option pins dispatch() here at compile
- *    time.
- *  - SSE2: x86-64 baseline, no runtime feature test needed.
+ * Tiers, and the kernels each one runs:
+ *  - Scalar: the reference implementation of all three loops,
+ *    always available. The TEXDIST_NO_SIMD CMake option pins
+ *    dispatch() here at compile time.
+ *  - SSE2: x86-64 baseline, no runtime feature test needed. Has a
+ *    sampler kernel; coverage and interpolation run the scalar
+ *    reference (no signed 64-bit compare, two doubles per vector).
  *  - AVX2: selected at runtime via cpuid when the host supports it.
+ *    Sampler (8-wide gathers), coverage (four 64-bit edge triples)
+ *    and interpolation (four pixels of double planes; log2f stays
+ *    scalar per pixel) kernels.
  */
 
 #ifndef TEXDIST_SIM_SIMD_HH

@@ -212,6 +212,14 @@ TEST(BenchOptionsError, RejectsBadThreads)
                    {"integer"});
 }
 
+TEST(BenchOptionsError, RejectsUnknownOption)
+{
+    // A misspelt flag must not run the harness with defaults.
+    const char *argv[] = {"prog", "--quick", "--thread=4"};
+    expectCliError([&] { return BenchOptions::parse(3, const_cast<char **>(argv)); },
+                   {"unknown option", "--thread=4"});
+}
+
 TEST(FrameLab, BatchMatchesSerialRuns)
 {
     // runBatch on a real pool must reproduce runWithSpeedup exactly:

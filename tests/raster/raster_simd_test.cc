@@ -1,11 +1,20 @@
 /**
  * @file
- * Scalar-vs-SIMD parity for rasterizer coverage. rowCoverage() may
- * run on the AVX2 kernel; every emitted fragment — position, order,
- * interpolated attributes — must be identical to the scalar path,
- * including the fill-rule tie decisions on shared edges.
+ * Scalar-vs-SIMD parity for the rasterizer's span kernels. Coverage
+ * (rowCoverage) and interpolation (interpolateRow) may run on their
+ * AVX2 kernels; every emitted fragment — position, order and the
+ * bits of every interpolated attribute — must be identical to the
+ * scalar path, including the fill-rule tie decisions on shared
+ * edges, perspective division, the cur_w <= 1e-12 fallback and the
+ * rho2 == 0 level of detail.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,14 +44,23 @@ class ForcedKernel
     bool ok;
 };
 
+/** A triangle with u = x and v = y at its corners; 1/w = w0..w2. */
 TexTriangle
-makeTri(float x0, float y0, float x1, float y1, float x2, float y2)
+makeTri(float x0, float y0, float x1, float y1, float x2, float y2,
+        float w0 = 1.0f, float w1 = 1.0f, float w2 = 1.0f)
 {
     TexTriangle tri;
-    tri.v[0] = {x0, y0, 1.0f, 0.0f, 0.0f};
-    tri.v[1] = {x1, y1, 1.0f, 1.0f, 0.0f};
-    tri.v[2] = {x2, y2, 1.0f, 0.0f, 1.0f};
+    tri.v[0] = {x0, y0, w0, 0.0f, 0.0f};
+    tri.v[1] = {x1, y1, w1, 1.0f, 0.0f};
+    tri.v[2] = {x2, y2, w2, 0.0f, 1.0f};
     return tri;
+}
+
+/** The bits of @p f: unlike ==, tells -0 from +0 and matches NaNs. */
+uint32_t
+bits(float f)
+{
+    return std::bit_cast<uint32_t>(f);
 }
 
 std::vector<Fragment>
@@ -80,10 +98,14 @@ expectIdenticalFragments(const TriangleRaster &raster,
                 << simd::to_string(k) << " fragment " << i;
             ASSERT_EQ(ref[i].y, got[i].y)
                 << simd::to_string(k) << " fragment " << i;
-            ASSERT_EQ(ref[i].u, got[i].u);
-            ASSERT_EQ(ref[i].v, got[i].v);
-            ASSERT_EQ(ref[i].lod, got[i].lod);
-            ASSERT_EQ(ref[i].invW, got[i].invW);
+            ASSERT_EQ(bits(ref[i].u), bits(got[i].u))
+                << simd::to_string(k) << " fragment " << i;
+            ASSERT_EQ(bits(ref[i].v), bits(got[i].v))
+                << simd::to_string(k) << " fragment " << i;
+            ASSERT_EQ(bits(ref[i].lod), bits(got[i].lod))
+                << simd::to_string(k) << " fragment " << i;
+            ASSERT_EQ(bits(ref[i].invW), bits(got[i].invW))
+                << simd::to_string(k) << " fragment " << i;
         }
         ForcedKernel force(k);
         ASSERT_TRUE(force.supported());
@@ -172,6 +194,177 @@ TEST(RasterSimd, RandomTrianglesAndScissors)
             raster, Rect(sx, sy, sx + int32_t(rng.uniformInt(1, 150)),
                          sy + int32_t(rng.uniformInt(1, 150))));
     }
+}
+
+/** Fragments per row of @p frags. */
+std::map<int32_t, int32_t>
+rowCounts(const std::vector<Fragment> &frags)
+{
+    std::map<int32_t, int32_t> rows;
+    for (const Fragment &f : frags)
+        ++rows[f.y];
+    return rows;
+}
+
+TEST(RasterSimd, PerspectiveTrianglesMatchScalar)
+{
+    // 1/w varies across the vertices, so every pixel has its own
+    // divide, its own derivatives and its own rho2.
+    Rng rng(11);
+    int tested = 0;
+    for (int i = 0; i < 40; ++i) {
+        TexTriangle tri = makeTri(float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(-30.0, 300.0)),
+                                  float(rng.uniform(0.05, 2.0)),
+                                  float(rng.uniform(0.05, 2.0)),
+                                  float(rng.uniform(0.05, 2.0)));
+        for (TexVertex &v : tri.v) {
+            v.u = float(rng.uniform(-2.0, 3.0));
+            v.v = float(rng.uniform(-2.0, 3.0));
+        }
+        TriangleRaster raster(tri, 256, 64);
+        if (raster.degenerate())
+            continue;
+        std::vector<Fragment> frags =
+            collect(raster, bigScissor, simd::Kernel::Scalar);
+        if (frags.size() < 2)
+            continue;
+        bool varies = false;
+        for (const Fragment &f : frags)
+            varies |= bits(f.invW) != bits(frags.front().invW);
+        EXPECT_TRUE(varies) << "triangle " << i;
+        expectIdenticalFragments(raster, bigScissor);
+        ++tested;
+    }
+    EXPECT_GT(tested, 20);
+}
+
+TEST(RasterSimd, FallbackLanesMixWithNormalLanes)
+{
+    // 1/w crosses zero inside the triangle, so a row runs from
+    // normal pixels into cur_w <= 1e-12 ones, which take the zeroed
+    // fallback. Moving the crossing moves it through every lane of a
+    // 4-pixel group.
+    int mixed_groups = 0;
+    for (int shift = 0; shift < 8; ++shift) {
+        TexTriangle tri = makeTri(0.0f, 0.0f, 60.0f + float(shift), 0.0f,
+                                  0.0f, 48.0f, 1.0f, -1.0f, 1.0f);
+        TriangleRaster raster(tri, 64, 64);
+        ASSERT_FALSE(raster.degenerate());
+        std::vector<Fragment> frags =
+            collect(raster, bigScissor, simd::Kernel::Scalar);
+        // Every row here is one span starting at its first covered
+        // pixel, so a fragment's index in its row is its lane.
+        std::map<int32_t, std::vector<const Fragment *>> rows;
+        for (const Fragment &f : frags)
+            rows[f.y].push_back(&f);
+        for (const auto &[y, row] : rows) {
+            for (size_t g = 0; g < row.size(); g += 4) {
+                int fallback = 0, normal = 0;
+                for (size_t k = g; k < row.size() && k < g + 4; ++k) {
+                    const Fragment &f = *row[k];
+                    if (bits(f.invW) == 0) {
+                        ++fallback;
+                        EXPECT_EQ(bits(f.u), 0u);
+                        EXPECT_EQ(bits(f.v), 0u);
+                        EXPECT_EQ(bits(f.lod), 0u);
+                    } else {
+                        ++normal;
+                    }
+                }
+                mixed_groups += fallback > 0 && normal > 0;
+            }
+        }
+        expectIdenticalFragments(raster, bigScissor);
+    }
+    EXPECT_GT(mixed_groups, 8);
+}
+
+TEST(RasterSimd, ZeroRho2GivesMinus126)
+{
+    // Constant texture coordinates: every derivative is zero, so
+    // rho2 == 0 and the level of detail is the -126 floor, in an
+    // affine and in a perspective triangle.
+    for (float w2 : {1.0f, 0.25f}) {
+        TexTriangle tri =
+            makeTri(2.5f, 1.0f, 90.0f, 7.0f, 30.0f, 70.0f, 1.0f, 0.5f, w2);
+        for (TexVertex &v : tri.v) {
+            v.u = 0.0f;
+            v.v = 0.0f;
+        }
+        TriangleRaster raster(tri, 128, 128);
+        ASSERT_FALSE(raster.degenerate());
+        std::vector<Fragment> frags =
+            collect(raster, bigScissor, simd::Kernel::Scalar);
+        ASSERT_FALSE(frags.empty());
+        for (const Fragment &f : frags)
+            ASSERT_EQ(bits(f.lod), bits(-126.0f));
+        expectIdenticalFragments(raster, bigScissor);
+    }
+}
+
+TEST(RasterSimd, NanInverseWTakesTheScalarBranch)
+{
+    // A NaN cur_w fails `cur_w <= 1e-12` in scalar code, so it is not
+    // a fallback lane: the kernel's compare must be ordered.
+    TexTriangle tri = makeTri(0.0f, 0.0f, 30.0f, 0.0f, 0.0f, 30.0f, 1.0f,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              1.0f);
+    TriangleRaster raster(tri, 64, 64);
+    ASSERT_FALSE(raster.degenerate());
+    std::vector<Fragment> frags =
+        collect(raster, bigScissor, simd::Kernel::Scalar);
+    ASSERT_FALSE(frags.empty());
+    for (const Fragment &f : frags)
+        ASSERT_TRUE(std::isnan(f.invW));
+    expectIdenticalFragments(raster, bigScissor);
+}
+
+TEST(RasterSimd, SpansOfOneToThreePixelsRunTheTail)
+{
+    // Narrow scissors leave 1-3 covered pixels per span: only the
+    // kernel's partial last group runs.
+    TexTriangle flat = makeTri(-5.0f, -5.0f, 200.0f, 10.0f, 40.0f, 180.0f);
+    TexTriangle persp = makeTri(-5.0f, -5.0f, 200.0f, 10.0f, 40.0f,
+                                180.0f, 1.0f, 0.3f, 1.7f);
+    for (const TexTriangle &tri : {flat, persp}) {
+        TriangleRaster raster(tri, 64, 64);
+        ASSERT_FALSE(raster.degenerate());
+        for (int32_t width = 1; width <= 3; ++width) {
+            for (int32_t x = 0; x < 120; x += 17) {
+                Rect scissor(x, 0, x + width, 200);
+                std::vector<Fragment> frags =
+                    collect(raster, scissor, simd::Kernel::Scalar);
+                ASSERT_FALSE(frags.empty());
+                for (const auto &[y, count] : rowCounts(frags))
+                    ASSERT_LE(count, width) << "row " << y;
+                expectIdenticalFragments(raster, scissor);
+            }
+        }
+    }
+}
+
+TEST(RasterSimd, SpansWiderThan512Pixels)
+{
+    // Rows of more than coverageSpan covered pixels are interpolated
+    // in several batches; perspective makes each batch's values
+    // distinct.
+    TexTriangle tri = makeTri(-10.0f, 0.0f, 1500.0f, 3.0f, 700.0f, 200.0f,
+                              1.0f, 0.2f, 0.6f);
+    TriangleRaster raster(tri, 512, 512);
+    ASSERT_FALSE(raster.degenerate());
+    Rect scissor(-20, -20, 1600, 240);
+    std::vector<Fragment> frags =
+        collect(raster, scissor, simd::Kernel::Scalar);
+    int32_t widest = 0;
+    for (const auto &[y, count] : rowCounts(frags))
+        widest = std::max(widest, count);
+    EXPECT_GT(widest, 1024);
+    expectIdenticalFragments(raster, scissor);
 }
 
 } // namespace
